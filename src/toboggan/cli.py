@@ -22,7 +22,6 @@ from . import eigensolver, spectra
 from .contours import WindingContour, sample_path
 from .eigensolver import DegenerateEigenvaluesError, ShiftCollisionError
 from .spectra import SpectrumTable
-from .util import format_sig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,6 +125,37 @@ def _open_output(path: str | None):
             yield stream
 
 
+def _write_json(args: argparse.Namespace, payload) -> None:
+    with _open_output(args.output) as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+
+
+def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[tuple],
+                 meta: dict | None = None, key: str | None = None) -> None:
+    """Write rows as CSV (the default) or, with --format json, as records.
+
+    JSON is the list of records keyed by header, or with an envelope the meta
+    fields followed by that list under `key`; a record leaves out any field
+    the envelope already carries.  In CSV ints and strings print as they are
+    and floats at the requested number of significant digits; the line format
+    is built once from the first row's cell types.
+    """
+    if args.format == "json":
+        meta = meta or {}
+        records = [{k: v for k, v in zip(header, row) if k not in meta}
+                   for row in rows]
+        _write_json(args, {**meta, key: records} if key else records)
+        return
+    float_cell = f"%.{_digits()}g"
+    with _open_output(args.output) as out:
+        out.write(",".join(header) + "\n")
+        if rows:
+            line = ",".join("%s" if isinstance(cell, (int, str)) else float_cell
+                            for cell in rows[0]) + "\n"
+            out.writelines(line % row for row in rows)
+
+
 def _apply_config(parser: _Parser, argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
     """Re-parse with config-file values as defaults; explicit flags win."""
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -158,21 +188,17 @@ def _explicitly_set(argv: list[str]) -> set[str]:
     return names
 
 
-def cmd_contour(args: argparse.Namespace) -> int:
-    contour = WindingContour(args.N, args.eps)
+def _contour_rows(winding: int, args: argparse.Namespace) -> list[tuple]:
+    """(s, re, im) samples of one contour, as the --eps/--s-*/--count ask."""
+    contour = WindingContour(winding, args.eps)
     points = sample_path(contour, args.s_min, args.s_max, args.count)
-    digits = _digits()
-    svals = np.linspace(args.s_min, args.s_max, args.count)
-    with _open_output(args.output) as out:
-        if (args.format or "csv") == "json":
-            rows = [{"s": float(s), "re": q.real, "im": q.imag}
-                    for s, q in zip(svals, points)]
-            json.dump({"N": args.N, "eps": args.eps, "points": rows}, out, indent=2)
-            out.write("\n")
-        else:
-            out.write("s,re,im\n")
-            for s, q in zip(svals, points):
-                out.write(f"{s:.{digits}g},{q.real:.{digits}g},{q.imag:.{digits}g}\n")
+    svals = np.linspace(args.s_min, args.s_max, args.count).tolist()
+    return [(s, q.real, q.imag) for s, q in zip(svals, points)]
+
+
+def cmd_contour(args: argparse.Namespace) -> int:
+    _write_table(args, ("s", "re", "im"), _contour_rows(args.N, args),
+                 {"N": args.N, "eps": args.eps}, "points")
     return EXIT_OK
 
 
@@ -180,23 +206,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.ell is None:
         raise ValueError("--ell is required")
     table = SpectrumTable.closed_form(args.N, args.ell, args.levels)
-    with _open_output(args.output) as out:
-        if (args.format or "csv") == "json":
-            table.write_json(out)
-        else:
-            table.write_csv(out, _digits())
+    rows = [(e.winding_number, e.ell, table.rho, e.n, e.energy, e.rescaled,
+             e.gap, e.source) for e in table.entries]
+    _write_table(args, ("N", "ell", "rho", "n", "E", "F", "G", "source"), rows,
+                 {"rho": table.rho}, "entries")
     return EXIT_OK
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    digits = _digits()
     if args.which == "fig1":
-        rows = []
-        svals = np.linspace(args.s_min, args.s_max, args.count)
-        for winding in (0, 1, 2):
-            contour = WindingContour(winding, args.eps)
-            for s, q in zip(svals, sample_path(contour, args.s_min, args.s_max, args.count)):
-                rows.append((winding, float(s), q.real, q.imag))
+        rows = [(winding, *row) for winding in (0, 1, 2)
+                for row in _contour_rows(winding, args)]
         header = ("N", "s", "re", "im")
     elif args.which == "fig2":
         if not (0 < args.rho_min < args.rho_max <= 1e-2):
@@ -212,8 +232,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
                                  spectra.rescaled_level(winding, ell, n)))
         header = ("rho", "N", "n", "F")
     else:
-        if not (0 < args.ell_min < args.ell_max):
-            raise ValueError("need 0 < ell-min < ell-max")
+        if not (0 < args.ell_min < args.ell_max < math.inf):
+            raise ValueError("need 0 < ell-min < ell-max < inf")
         ells = np.logspace(math.log10(args.ell_min), math.log10(args.ell_max),
                            args.ell_points)
         rows = []
@@ -222,17 +242,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 rows.append((float(ell), winding,
                              spectra.gap(winding, ell) / ell ** 0.2))
         header = ("ell", "N", "G_scaled")
-    with _open_output(args.output) as out:
-        if (args.format or "csv") == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-        else:
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(
-                    str(x) if isinstance(x, int) else format_sig(x, digits)
-                    for x in row) + "\n")
+    _write_table(args, header, rows)
     return EXIT_OK
 
 
@@ -243,9 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report, passed = _verify_cubic0(args)
     else:
         report, passed = _verify_toboggan1(args)
-    with _open_output(args.output) as out:
-        json.dump(report, out, indent=2)
-        out.write("\n")
+    _write_json(args, report)
     return EXIT_OK if passed else EXIT_VERIFY
 
 

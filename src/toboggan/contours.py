@@ -8,8 +8,8 @@ reduces to the straight line itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class WindingContour:
             raise ValueError("winding_number must be a non-negative integer")
         if not self.shift > 0:
             raise ValueError("shift must be positive")
+        if not math.isfinite(self.shift):
+            raise ValueError("shift must be finite")
 
     def point(self, s: float) -> complex:
         return winding_path(self.winding_number, self.shift, s)
@@ -60,15 +62,9 @@ def sample_path(contour: WindingContour, s_min: float, s_max: float, count: int)
     """
     if count < 2:
         raise ValueError("count must be at least 2")
+    if not (math.isfinite(s_min) and math.isfinite(s_max)):
+        raise ValueError("s_min and s_max must be finite")
     if not s_min < s_max:
         raise ValueError("need s_min < s_max")
     return [contour.point(s) for s in np.linspace(s_min, s_max, count)]
 
-
-def write_csv(stream: TextIO, contour: WindingContour, s_min: float, s_max: float,
-              count: int, digits: int = 17) -> None:
-    """Write sampled contour points as CSV rows with columns s,re,im."""
-    points = sample_path(contour, s_min, s_max, count)
-    stream.write("s,re,im\n")
-    for s, q in zip(np.linspace(s_min, s_max, count), points):
-        stream.write(f"{s:.{digits}g},{q.real:.{digits}g},{q.imag:.{digits}g}\n")

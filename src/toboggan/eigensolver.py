@@ -94,19 +94,12 @@ class TridiagonalSystem:
         out[1:] += self.off * v[:-1]
         return out
 
-    def apply_b(self, v: np.ndarray) -> np.ndarray:
-        return self.weight * v
 
-
-def _evaluate(fn: Callable, y: np.ndarray) -> np.ndarray:
-    """Evaluate fn on the grid, falling back to pointwise calls for
-    evaluators that only accept scalars."""
-    try:
-        values = np.asarray(fn(y), dtype=complex)
-    except (TypeError, ValueError):
-        values = np.array([fn(p) for p in y], dtype=complex)
-    if values.shape != y.shape:
-        values = np.broadcast_to(values, y.shape).astype(complex)
+def _evaluate(fn: Callable, y: np.ndarray, what: str) -> np.ndarray:
+    """Evaluate an array-capable fn on the whole grid at once."""
+    values = np.asarray(fn(y), dtype=complex)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite on the grid")
     return values
 
 
@@ -117,15 +110,11 @@ def build_tridiagonal(potential: Callable, disc: Discretization,
     weight evaluator).  Dirichlet truncation: psi = 0 outside the grid.
     """
     y = disc.complex_grid()
-    values = _evaluate(potential, y)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("potential is not finite on the grid")
+    values = _evaluate(potential, y, "potential")
     if weight_fn is None:
         wdiag = np.ones(disc.points, dtype=complex)
     else:
-        wdiag = _evaluate(weight_fn, y)
-        if not np.all(np.isfinite(wdiag)):
-            raise ValueError("weight is not finite on the grid")
+        wdiag = _evaluate(weight_fn, y, "weight")
     h = disc.step
     return TridiagonalSystem(2.0 / (h * h) + values, -1.0 / (h * h), wdiag)
 
@@ -220,12 +209,14 @@ def resolved_discretization(model: str, ell: float, *, winding: int = 0,
     if abs(harmonic.imag) > 1e-9 * abs(harmonic):
         raise ValueError("harmonic coefficient is not real at the selected root")
     disc = auto_discretization(harmonic.real, tau, winding)
-    if points is not None or half_width is not None or eps is not None:
-        disc = replace(disc,
-                       points=points if points is not None else disc.points,
-                       half_width=half_width if half_width is not None else disc.half_width,
-                       shift_eps=eps if eps is not None else disc.shift_eps)
-    return disc
+    return _with_overrides(disc, points, half_width, eps)
+
+
+def _with_overrides(disc: Discretization, points: int | None,
+                    half_width: float | None, eps: float | None) -> Discretization:
+    """disc with each override that is not None put in place."""
+    given = {"points": points, "half_width": half_width, "shift_eps": eps}
+    return replace(disc, **{k: v for k, v in given.items() if v is not None})
 
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
@@ -244,9 +235,9 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
     ell, winding, omega :
         Problem parameters; winding and omega apply to their model only.
     disc, points, half_width, eps :
-        Full grid override, or selective overrides applied on top of
-        auto_discretization (whose shift defaults to eps = tau, putting the
-        potential minimum at grid center s = 0).
+        Full grid override, and selective overrides applied on top of it or
+        of auto_discretization (whose shift defaults to eps = tau, putting
+        the potential minimum at grid center s = 0).
     seeds :
         Explicit shifts, replacing the closed-form level seeds.  With
         explicit seeds no collision recovery is attempted, so duplicate
@@ -274,14 +265,8 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         seed_values = [complex(seed_formula(n)) for n in range(count)]
 
     if disc is None:
-        disc = resolved_discretization(model, ell, winding=winding, omega=omega,
-                                       points=points, half_width=half_width,
-                                       eps=eps)
-    elif points is not None or half_width is not None or eps is not None:
-        disc = replace(disc,
-                       points=points if points is not None else disc.points,
-                       half_width=half_width if half_width is not None else disc.half_width,
-                       shift_eps=eps if eps is not None else disc.shift_eps)
+        disc = resolved_discretization(model, ell, winding=winding, omega=omega)
+    disc = _with_overrides(disc, points, half_width, eps)
 
     system = build_tridiagonal(potential, disc, weight_fn)
 
@@ -289,7 +274,7 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
     user_seeds = seeds is not None
     for n in range(count):
         result = _iterate_with_retries(system, seed_values[n], tol, max_iter)
-        twin = _duplicate_index(results, result.eigenvalue, tol)
+        twin = _duplicate_index(results, result.eigenvalue, tol, closed_gap)
         if twin is not None:
             if user_seeds:
                 raise DegenerateEigenvaluesError(
@@ -298,7 +283,7 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
                     f"{results[twin].residual:.3e} and {result.residual:.3e})")
             reseed = results[twin].eigenvalue + closed_gap * (n - twin)
             retry = _iterate_with_retries(system, reseed, tol, max_iter)
-            if _duplicate_index(results, retry.eigenvalue, tol) is not None:
+            if _duplicate_index(results, retry.eigenvalue, tol, closed_gap) is not None:
                 raise DegenerateEigenvaluesError(
                     f"levels {twin} and {n} both converged to "
                     f"{result.eigenvalue!r} (residuals {results[twin].residual:.3e} "
@@ -313,21 +298,22 @@ def _iterate_with_retries(system: TridiagonalSystem, shift: complex, tol: float,
                           max_iter: int, retries: int = 5) -> EigenResult:
     """Run inverse_iteration, nudging the shift past exact collisions."""
     current = complex(shift)
-    for attempt in range(retries):
+    for _ in range(retries - 1):
         try:
             return inverse_iteration(system, current, tol=tol, max_iter=max_iter)
         except ShiftCollisionError:
-            if attempt == retries - 1:
-                raise
             current = current + 1e-6 * max(abs(current), 1.0)
-    raise AssertionError("unreachable")
+    return inverse_iteration(system, current, tol=tol, max_iter=max_iter)
 
 
 def _duplicate_index(results: Sequence[EigenResult], value: complex,
-                     tol: float) -> int | None:
-    """Index of an earlier eigenvalue within 10*tol relative separation."""
+                     tol: float, closed_gap: float) -> int | None:
+    """Index of an earlier eigenvalue within 10*tol relative separation, or
+    closer than 1e-3 of the closed-form gap: the true ladder is spaced by
+    about one gap, so two levels that close are one eigenvalue found twice."""
     for i, r in enumerate(results):
         separation = abs(r.eigenvalue - value)
-        if separation <= 10.0 * tol * max(1.0, abs(r.eigenvalue), abs(value)):
+        if (separation <= 10.0 * tol * max(1.0, abs(r.eigenvalue), abs(value))
+                or separation < 1e-3 * closed_gap):
             return i
     return None

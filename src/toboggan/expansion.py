@@ -73,6 +73,8 @@ def tau_general(winding_number: int, ell: float) -> float:
     strength = big_l * (big_l + 1.0)
     if not strength > 0.0:
         raise ValueError(f"need L(L+1) > 0, got L = {big_l:g}")
+    if not (math.isfinite(ell) and ell >= 0):
+        raise ValueError(f"l must be finite and non-negative, got l = {ell:g}")
     odd = 2 * n + 1
     return (2.0 * strength / (odd * odd * (10 * n + 3))) ** (1.0 / (10 * n + 5))
 

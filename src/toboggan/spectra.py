@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 from .expansion import tau_general
-from .util import format_sig
 
 SOURCE_CLOSED_FORM = "closed_form"
-SOURCE_ORACLE = "oracle"
 
 
 def energy_toboggan(winding_number: int, ell: float, n: int) -> float:
@@ -158,30 +154,3 @@ class SpectrumTable:
         ]
         return cls(entries, density_parameter(ell))
 
-    def write_csv(self, stream: TextIO, digits: int = 17) -> None:
-        stream.write("N,ell,rho,n,E,F,G,source\n")
-        for e in self.entries:
-            stream.write(",".join([
-                str(e.winding_number),
-                format_sig(e.ell, digits),
-                format_sig(self.rho, digits),
-                str(e.n),
-                format_sig(e.energy, digits),
-                format_sig(e.rescaled, digits),
-                format_sig(e.gap, digits),
-                e.source,
-            ]) + "\n")
-
-    def to_json(self) -> dict:
-        return {
-            "rho": self.rho,
-            "entries": [
-                {"N": e.winding_number, "ell": e.ell, "n": e.n,
-                 "E": e.energy, "F": e.rescaled, "G": e.gap, "source": e.source}
-                for e in self.entries
-            ],
-        }
-
-    def write_json(self, stream: TextIO) -> None:
-        json.dump(self.to_json(), stream, indent=2)
-        stream.write("\n")

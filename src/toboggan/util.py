@@ -34,7 +34,3 @@ def zpow(z, k: int):
         return ipow(z, k)
     return 1.0 / ipow(z, -k)
 
-
-def format_sig(x: float, digits: int = 17) -> str:
-    """Format a float with a fixed number of significant digits."""
-    return f"{x:.{digits}g}"

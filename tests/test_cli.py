@@ -3,8 +3,9 @@ import json
 import pytest
 
 from toboggan.cli import main
-from toboggan.contours import winding_path
+from toboggan.contours import WindingContour, sample_path, winding_path
 from toboggan.spectra import (
+    SpectrumTable,
     energy_cubic,
     energy_toboggan,
     gap_constant,
@@ -239,3 +240,94 @@ def test_output_file_writing(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("s,re,im\n")
+
+
+def test_contour_csv_round_trips_17_digits(capsys):
+    code, out, _ = run(capsys, "contour", "--N", "2", "--eps", "0.3",
+                       "--s-min", "-1.7", "--s-max", "2.3", "--count", "9")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["s", "re", "im"]
+    points = sample_path(WindingContour(2, 0.3), -1.7, 2.3, 9)
+    assert len(rows) == len(points)
+    for (_, re_txt, im_txt), q in zip(rows, points):
+        assert float(re_txt) == q.real
+        assert float(im_txt) == q.imag
+
+
+def test_contour_json_rows_equal_sample_path(capsys):
+    code, out, _ = run(capsys, "contour", "--N", "2", "--eps", "0.3",
+                       "--s-min", "-1.7", "--s-max", "2.3", "--count", "9",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["N", "eps", "points"]
+    assert (payload["N"], payload["eps"]) == (2, 0.3)
+    points = sample_path(WindingContour(2, 0.3), -1.7, 2.3, 9)
+    assert [(p["re"], p["im"]) for p in payload["points"]] \
+        == [(q.real, q.imag) for q in points]
+
+
+def test_contour_exact_text(capsys):
+    code, out, _ = run(capsys, "contour", "--N", "1", "--eps", "0.5",
+                       "--s-min", "-1", "--s-max", "1", "--count", "3")
+    assert code == 0
+    assert out == "s,re,im\n-1,0.25,1.375\n0,0,-0.125\n1,-0.25,1.375\n"
+
+
+def test_spectrum_csv_round_trip(capsys):
+    code, out, _ = run(capsys, "spectrum", "--N", "0", "--ell", "4",
+                       "--levels", "2")
+    assert code == 0
+    table = SpectrumTable.closed_form(0, 4.0, 2)
+    header, rows = parse_csv(out)
+    assert header == ["N", "ell", "rho", "n", "E", "F", "G", "source"]
+    for row, entry in zip(rows, table.entries):
+        assert row[0] == str(entry.winding_number) and row[3] == str(entry.n)
+        assert float(row[1]) == entry.ell
+        assert float(row[2]) == table.rho
+        assert float(row[4]) == entry.energy
+        assert float(row[5]) == entry.rescaled
+        assert float(row[6]) == entry.gap
+        assert row[7] == entry.source == "closed_form"
+
+
+def test_spectrum_json(capsys):
+    code, out, _ = run(capsys, "spectrum", "--N", "2", "--ell", "9",
+                       "--levels", "3", "--format", "json")
+    assert code == 0
+    table = SpectrumTable.closed_form(2, 9.0, 3)
+    payload = json.loads(out)
+    assert list(payload) == ["rho", "entries"]
+    assert payload["rho"] == table.rho
+    assert [row["n"] for row in payload["entries"]] == [0, 1, 2]
+    for row, entry in zip(payload["entries"], table.entries):
+        assert set(row) == {"N", "ell", "n", "E", "F", "G", "source"}
+        assert (row["N"], row["ell"], row["n"], row["source"]) \
+            == (entry.winding_number, entry.ell, entry.n, entry.source)
+        assert (row["E"], row["F"], row["G"]) \
+            == (entry.energy, entry.rescaled, entry.gap)
+
+
+def test_figure_empty_tables(capsys):
+    code, out, _ = run(capsys, "figure", "fig2", "--rho-points", "0")
+    assert (code, out) == (0, "rho,N,n,F\n")
+    code, out, _ = run(capsys, "figure", "fig3", "--ell-points", "0",
+                       "--format", "json")
+    assert (code, out) == (0, "[]\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--ell", "inf"),
+    ("spectrum", "--ell", "-3"),
+    ("contour", "--eps", "inf"),
+    ("contour", "--s-max", "inf"),
+    ("figure", "fig3", "--ell-max", "inf"),
+], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
+        "contour-s-max-inf", "fig3-ell-max-inf"])
+def test_non_finite_or_negative_input_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("toboggan: error: ")

@@ -1,5 +1,4 @@
 import cmath
-import io
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from toboggan.contours import (
     sample_path,
     straight_path,
     winding_path,
-    write_csv,
 )
 from toboggan.expansion import tau_cubic
 
@@ -115,16 +113,3 @@ def test_sample_path_rejects_degenerate_input():
         sample_path(WindingContour(1, 1.0), 0.0, 0.0, 8)
     with pytest.raises(ValueError):
         sample_path(WindingContour(1, 1.0), -1.0, 1.0, 1)
-
-
-def test_csv_round_trips_17_digits():
-    contour = WindingContour(2, 0.3)
-    buffer = io.StringIO()
-    write_csv(buffer, contour, -1.7, 2.3, 9)
-    lines = buffer.getvalue().strip().split("\n")
-    assert lines[0] == "s,re,im"
-    points = sample_path(contour, -1.7, 2.3, 9)
-    for line, q in zip(lines[1:], points):
-        _, re_txt, im_txt = line.split(",")
-        assert float(re_txt) == q.real
-        assert float(im_txt) == q.imag

@@ -177,6 +177,15 @@ def test_low_lying_auto_seeds_recover_from_duplicates():
     assert separation > 1.0
 
 
+def test_low_lying_reseeds_near_twins():
+    # At l = 120 both seeds converge on one eigenvalue, but to estimates
+    # about 1e-8 apart (relative), past the 10*tol twin test; the gap-based
+    # twin test must still trigger the re-seed.
+    results = low_lying("cubic_toboggan", 120.0, 2, winding=1)
+    separation = results[1].eigenvalue.real - results[0].eigenvalue.real
+    assert separation > 0.5 * gap(1, 120.0)
+
+
 def test_low_lying_validation():
     with pytest.raises(ValueError):
         low_lying("ho", 10.0, 0)

@@ -1,5 +1,3 @@
-import io
-import json
 import math
 
 import numpy as np
@@ -211,27 +209,3 @@ def test_spectrum_table_structure():
         == table.entries
     with pytest.raises(ValueError):
         SpectrumTable.closed_form(0, 4.0, 0)
-
-
-def test_spectrum_table_csv_round_trip():
-    table = SpectrumTable.closed_form(0, 4.0, 2)
-    buffer = io.StringIO()
-    table.write_csv(buffer)
-    lines = buffer.getvalue().strip().split("\n")
-    assert lines[0] == "N,ell,rho,n,E,F,G,source"
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[3] == "0" and first[7] == "closed_form"
-    assert float(first[4]) == table.entries[0].energy
-    assert float(first[5]) == table.entries[0].rescaled
-    assert float(first[6]) == table.entries[0].gap
-
-
-def test_spectrum_table_json():
-    table = SpectrumTable.closed_form(2, 9.0, 3)
-    buffer = io.StringIO()
-    table.write_json(buffer)
-    payload = json.loads(buffer.getvalue())
-    assert payload["rho"] == table.rho
-    assert [row["n"] for row in payload["entries"]] == [0, 1, 2]
-    assert payload["entries"][1]["E"] == table.entries[1].energy
-    assert set(payload["entries"][0]) == {"N", "ell", "n", "E", "F", "G", "source"}
