@@ -19,12 +19,23 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .expansion import tau_general, tau_ho, taylor_ho, taylor_rectified
 from .potentials import HOSpec, v_eff_ho
 from .rectify import build_rectified, rectified_potential, weight
 from .spectra import energy_ho_approx, energy_toboggan, gap
+
+
+def get_lapack_funcs(names, *args, **kwargs):
+    """scipy.linalg.get_lapack_funcs, with scipy imported on the first call.
+
+    Only the finite-difference oracle factorizes, so the closed-form paths
+    never load scipy.  inverse_iteration looks this name up in the module
+    at every call, so a wrapper put in its place sees every gttrf/gttrs
+    fetch.
+    """
+    from scipy.linalg import get_lapack_funcs as lapack_funcs
+    return lapack_funcs(names, *args, **kwargs)
 
 
 class ShiftCollisionError(RuntimeError):

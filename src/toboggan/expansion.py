@@ -69,14 +69,18 @@ def tau_cubic(ell: float) -> float:
 def tau_general(winding_number: int, ell: float) -> float:
     """Polygon radius (2 L(L+1) / ((2N+1)**2 (10N+3)))**(1/(10N+5))."""
     n = int(winding_number)
-    big_l = angular_map(n, ell)
+    # As a Python float, L(L+1) overflows to inf where a numpy scalar warns.
+    big_l = float(angular_map(n, ell))
     strength = big_l * (big_l + 1.0)
     if not strength > 0.0:
         raise ValueError(f"need L(L+1) > 0, got L = {big_l:g}")
     if not (math.isfinite(ell) and ell >= 0):
         raise ValueError(f"l must be finite and non-negative, got l = {ell:g}")
     odd = 2 * n + 1
-    return (2.0 * strength / (odd * odd * (10 * n + 3))) ** (1.0 / (10 * n + 5))
+    radicand = 2.0 * strength / (odd * odd * (10 * n + 3))
+    if not math.isfinite(radicand):
+        raise ValueError(f"l = {ell:g} is too large: tau**(10N+5) overflows")
+    return radicand ** (1.0 / (10 * n + 5))
 
 
 def tau_ho(spec: HOSpec) -> float:

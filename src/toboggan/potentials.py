@@ -14,6 +14,7 @@ the real axis and stay clear of the cut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,12 @@ class HOSpec:
     frequency: float = 1.0
 
     def __post_init__(self):
-        if not self.frequency > 0:
-            raise ValueError("frequency omega must be positive")
-        if self.angular < 0:
-            raise ValueError("angular momentum l must be non-negative")
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValueError(
+                f"omega must be finite and positive, got omega = {self.frequency:g}")
+        if not (math.isfinite(self.angular) and self.angular >= 0):
+            raise ValueError(
+                f"l must be finite and non-negative, got l = {self.angular:g}")
 
 
 def _iq_power(q: complex, p: float) -> complex:

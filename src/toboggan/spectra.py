@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .expansion import tau_general
+from .potentials import HOSpec
 
 SOURCE_CLOSED_FORM = "closed_form"
 
@@ -40,7 +41,10 @@ def energy_cubic(ell: float, n: int) -> float:
 
 def density_parameter(ell: float) -> float:
     """The natural smallness parameter rho = 1/(l + 1/2)**2."""
-    return 1.0 / (ell + 0.5) ** 2
+    root = float(ell) + 0.5
+    if not math.isfinite(root * root):
+        raise ValueError(f"l = {ell:g} is too large: (l + 1/2)**2 overflows")
+    return 1.0 / root ** 2
 
 
 def rescaled_level(winding_number: int, ell: float, n: int) -> float:
@@ -97,8 +101,7 @@ def energy_error_scale(winding_number: int, ell: float) -> float:
 
 def energy_ho_exact(ell: float, omega: float, n: int) -> float:
     """Exact oscillator level omega*(4n + 1 - 2l), valid for n < l + 1/2."""
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    HOSpec(ell, omega)  # rejects a bad l or omega
     if n != int(n) or n < 0:
         raise ValueError("quantum number n must be a non-negative integer")
     if not n < ell + 0.5:
@@ -112,13 +115,10 @@ def energy_ho_approx(ell: float, omega: float, n: int) -> float:
     Exceeds the exact level by omega*[(2l+1) - sqrt((2l+1)**2 - 1)],
     independently of n.
     """
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    HOSpec(ell, omega)  # rejects a bad l or omega
     if n != int(n) or n < 0:
         raise ValueError("quantum number n must be a non-negative integer")
     x = 2.0 * ell + 1.0
-    if x * x < 1.0:
-        raise ValueError("need (2l+1)**2 >= 1")
     return -omega * math.sqrt(x * x - 1.0) + 2.0 * omega * (2 * int(n) + 1)
 
 

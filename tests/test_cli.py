@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import toboggan
 from toboggan.cli import main
 from toboggan.contours import WindingContour, sample_path, winding_path
 from toboggan.spectra import (
@@ -318,16 +324,50 @@ def test_figure_empty_tables(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv", [
-    ("spectrum", "--ell", "inf"),
-    ("spectrum", "--ell", "-3"),
-    ("contour", "--eps", "inf"),
-    ("contour", "--s-max", "inf"),
-    ("figure", "fig3", "--ell-max", "inf"),
+@pytest.mark.parametrize("argv, fragment", [
+    (("spectrum", "--ell", "inf"), "l must be finite"),
+    (("spectrum", "--ell", "-3"), "l must be finite"),
+    (("contour", "--eps", "inf"), "shift must be finite"),
+    (("contour", "--s-max", "inf"), "s_max must be finite"),
+    (("figure", "fig3", "--ell-max", "inf"), "ell-max"),
+    (("spectrum", "--ell", "1e308"), "l = 1e+308 is too large"),
+    (("spectrum", "--ell", "1e200"), "l = 1e+200 is too large"),
+    (("figure", "fig3", "--ell-max", "1e300"), "is too large"),
+    (("figure", "fig2", "--rho-min", "1e-320"), "(l + 1/2)**2 overflows"),
+    (("verify", "ho", "--ell", "inf"), "l must be finite"),
+    (("verify", "ho", "--ell", "nan"), "l must be finite"),
+    (("verify", "ho", "--omega", "inf"), "omega must be finite"),
 ], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
-        "contour-s-max-inf", "fig3-ell-max-inf"])
-def test_non_finite_or_negative_input_is_rejected(capsys, argv):
+        "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
+        "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig2-rho-min-1e-320",
+        "verify-ho-ell-inf", "verify-ho-ell-nan", "verify-ho-omega-inf"])
+def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("toboggan: error: ")
+    assert fragment in err
+
+
+def test_closed_form_commands_never_load_scipy():
+    # A fresh interpreter, so that no earlier test has imported scipy.
+    script = textwrap.dedent("""
+        import json, os, sys
+        import toboggan, toboggan.cli
+        commands = [["contour", "--count", "3"], ["spectrum", "--ell", "4"],
+                    ["figure", "fig1", "--count", "3"],
+                    ["figure", "fig2", "--rho-points", "2"],
+                    ["figure", "fig3", "--ell-points", "2"], ["verify", "ho"]]
+        seen = []
+        for argv in commands:
+            code = toboggan.cli.main(argv + ["--output", os.devnull])
+            seen.append([argv[0], code, "scipy" in sys.modules])
+        print(json.dumps(seen))
+        """)
+    src = str(Path(toboggan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    assert json.loads(done.stdout) == [
+        ["contour", 0, False], ["spectrum", 0, False], ["figure", 0, False],
+        ["figure", 0, False], ["figure", 0, False], ["verify", 0, True]]

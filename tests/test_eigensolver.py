@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from toboggan import eigensolver
 from toboggan.eigensolver import (
     DegenerateEigenvaluesError,
     Discretization,
@@ -98,6 +99,26 @@ def test_shift_collision_raises_and_perturbation_recovers():
     result = inverse_iteration(system, 2.0 * (1.0 + 1e-6))
     assert result.converged
     assert result.eigenvalue == pytest.approx(2.0, rel=1e-12)
+
+
+def test_inverse_iteration_fetches_lapack_through_module_name(monkeypatch):
+    # Wrappers that time gttrf/gttrs replace eigensolver.get_lapack_funcs;
+    # each inverse_iteration run must fetch its routines through that name.
+    disc = Discretization(12.0, 4001, shift_eps=1.0)
+    system = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
+    plain = inverse_iteration(system, 0.9, tol=1e-10)
+    fetched = []
+    original = eigensolver.get_lapack_funcs
+
+    def counting(names, *args, **kwargs):
+        fetched.append(tuple(names))
+        return original(names, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "get_lapack_funcs", counting)
+    traced = inverse_iteration(system, 0.9, tol=1e-10)
+    assert fetched == [("gttrf", "gttrs")]
+    assert traced.converged
+    assert traced == plain
 
 
 def test_inverse_iteration_reports_non_convergence():
