@@ -50,8 +50,8 @@ class DegenerateEigenvaluesError(RuntimeError):
 class Discretization:
     """Uniform grid s_k = -S + k*h, k = 0..K-1, on the line s - i*eps.
 
-    Converged spectra want points >= 64; smaller grids are accepted for
-    algebraic tests of the assembled matrices.
+    Converged spectra want points >= 64; grids down to 3 points, the fewest
+    scipy's gttrf takes, are accepted for algebraic tests of the matrices.
     """
 
     half_width: float
@@ -59,12 +59,14 @@ class Discretization:
     shift_eps: float
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
-        if self.points < 2:
-            raise ValueError("need at least 2 grid points")
-        if not self.shift_eps > 0:
-            raise ValueError("shift_eps must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("half_width must be finite and positive, "
+                             f"got half_width = {self.half_width:g}")
+        if self.points < 3:
+            raise ValueError(f"need at least 3 grid points, got points = {self.points}")
+        if not (math.isfinite(self.shift_eps) and self.shift_eps > 0):
+            raise ValueError("shift_eps must be finite and positive, "
+                             f"got shift_eps = {self.shift_eps:g}")
 
     @property
     def step(self) -> float:
@@ -195,44 +197,57 @@ def auto_discretization(harmonic: float, shift_eps: float,
     return Discretization(half_width, points, shift_eps)
 
 
-def _problem_setup(model: str, ell: float, winding: int, omega: float):
-    """Potential/weight evaluators, tau, Taylor data, and seed formula."""
+@dataclass(frozen=True)
+class _Problem:
+    """One oracle problem: evaluators on the grid, the shift tau that puts the
+    potential minimum at s = 0, the harmonic Taylor coefficient there, the
+    closed-form level seeds and level gap."""
+
+    potential: Callable
+    weight: Callable | None
+    tau: float
+    harmonic: complex
+    seed: Callable[[int], float]
+    gap: float
+
+
+def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
     if model == "ho":
         spec = HOSpec(angular=ell, frequency=omega)
-        return (partial(v_eff_ho, spec=spec), None, tau_ho(spec),
-                taylor_ho(spec),
-                lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega)
+        return _Problem(partial(v_eff_ho, spec=spec), None, tau_ho(spec),
+                        taylor_ho(spec).harmonic,
+                        lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega)
     if model == "cubic_toboggan":
-        problem = build_rectified(winding, ell)
-        return (partial(rectified_potential, problem), partial(weight, problem),
-                tau_general(winding, ell), taylor_rectified(problem),
-                lambda n: energy_toboggan(winding, ell, n), gap(winding, ell))
+        rectified = build_rectified(winding, ell)
+        return _Problem(partial(rectified_potential, rectified),
+                        partial(weight, rectified), tau_general(winding, ell),
+                        taylor_rectified(rectified).harmonic,
+                        lambda n: energy_toboggan(winding, ell, n), gap(winding, ell))
     raise ValueError(f"unknown model {model!r}")
+
+
+def _grid(problem: _Problem, winding: int, points: int | None,
+          half_width: float | None, eps: float | None) -> Discretization:
+    """auto_discretization for the problem, each given override put in place."""
+    harmonic = problem.harmonic
+    if abs(harmonic.imag) > 1e-9 * abs(harmonic):
+        raise ValueError("harmonic coefficient is not real at the selected root")
+    disc = auto_discretization(harmonic.real, problem.tau, winding)
+    given = {"points": points, "half_width": half_width, "shift_eps": eps}
+    return replace(disc, **{k: v for k, v in given.items() if v is not None})
 
 
 def resolved_discretization(model: str, ell: float, *, winding: int = 0,
                             omega: float = 1.0, points: int | None = None,
                             half_width: float | None = None,
                             eps: float | None = None) -> Discretization:
-    """The grid low_lying uses: auto_discretization plus selective overrides."""
-    _, _, tau, expansion, _, _ = _problem_setup(model, ell, winding, omega)
-    harmonic = complex(expansion.harmonic)
-    if abs(harmonic.imag) > 1e-9 * abs(harmonic):
-        raise ValueError("harmonic coefficient is not real at the selected root")
-    disc = auto_discretization(harmonic.real, tau, winding)
-    return _with_overrides(disc, points, half_width, eps)
-
-
-def _with_overrides(disc: Discretization, points: int | None,
-                    half_width: float | None, eps: float | None) -> Discretization:
-    """disc with each override that is not None put in place."""
-    given = {"points": points, "half_width": half_width, "shift_eps": eps}
-    return replace(disc, **{k: v for k, v in given.items() if v is not None})
+    """The grid low_lying solves on for the same arguments."""
+    return _grid(_problem(model, ell, winding, omega), winding, points,
+                 half_width, eps)
 
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
-              omega: float = 1.0, disc: Discretization | None = None,
-              tol: float = 1e-9, max_iter: int = 200,
+              omega: float = 1.0, tol: float = 1e-9, max_iter: int = 200,
               points: int | None = None, half_width: float | None = None,
               eps: float | None = None,
               seeds: Sequence[complex] | None = None) -> list[EigenResult]:
@@ -245,10 +260,12 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         oscillator with centrifugal term (weight 1).
     ell, winding, omega :
         Problem parameters; winding and omega apply to their model only.
-    disc, points, half_width, eps :
-        Full grid override, and selective overrides applied on top of it or
-        of auto_discretization (whose shift defaults to eps = tau, putting
-        the potential minimum at grid center s = 0).
+    points, half_width, eps :
+        Grid overrides, each put in place of its auto_discretization value
+        when given (the shift defaults to eps = tau, putting the potential
+        minimum at grid center s = 0).
+    tol :
+        Relative tolerance of inverse_iteration; finite and positive.
     seeds :
         Explicit shifts, replacing the closed-form level seeds.  With
         explicit seeds no collision recovery is attempted, so duplicate
@@ -260,8 +277,9 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    potential, weight_fn, _, _, seed_formula, closed_gap = _problem_setup(
-        model, ell, winding, omega)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got tol = {tol:g}")
+    problem = _problem(model, ell, winding, omega)
     if model == "cubic_toboggan" and winding >= 2:
         warnings.warn(
             "winding >= 2 numerics is experimental: the rectified potential "
@@ -273,28 +291,25 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         if len(seed_values) < count:
             raise ValueError("need one seed per requested level")
     else:
-        seed_values = [complex(seed_formula(n)) for n in range(count)]
+        seed_values = [complex(problem.seed(n)) for n in range(count)]
 
-    if disc is None:
-        disc = resolved_discretization(model, ell, winding=winding, omega=omega)
-    disc = _with_overrides(disc, points, half_width, eps)
-
-    system = build_tridiagonal(potential, disc, weight_fn)
+    disc = _grid(problem, winding, points, half_width, eps)
+    system = build_tridiagonal(problem.potential, disc, problem.weight)
 
     results: list[EigenResult] = []
     user_seeds = seeds is not None
     for n in range(count):
         result = _iterate_with_retries(system, seed_values[n], tol, max_iter)
-        twin = _duplicate_index(results, result.eigenvalue, tol, closed_gap)
+        twin = _duplicate_index(results, result.eigenvalue, tol, problem.gap)
         if twin is not None:
             if user_seeds:
                 raise DegenerateEigenvaluesError(
                     f"seeds {seed_values[twin]!r} and {seed_values[n]!r} both "
                     f"converged to {result.eigenvalue!r} (residuals "
                     f"{results[twin].residual:.3e} and {result.residual:.3e})")
-            reseed = results[twin].eigenvalue + closed_gap * (n - twin)
+            reseed = results[twin].eigenvalue + problem.gap * (n - twin)
             retry = _iterate_with_retries(system, reseed, tol, max_iter)
-            if _duplicate_index(results, retry.eigenvalue, tol, closed_gap) is not None:
+            if _duplicate_index(results, retry.eigenvalue, tol, problem.gap) is not None:
                 raise DegenerateEigenvaluesError(
                     f"levels {twin} and {n} both converged to "
                     f"{result.eigenvalue!r} (residuals {results[twin].residual:.3e} "

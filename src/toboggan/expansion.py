@@ -84,11 +84,22 @@ def tau_general(winding_number: int, ell: float) -> float:
 
 
 def tau_ho(spec: HOSpec) -> float:
-    """Stationary radius (l(l+1))**(1/4) / omega**(1/2) of the oscillator."""
-    strength = spec.angular * (spec.angular + 1.0)
+    """Stationary radius (l(l+1))**(1/4) / omega**(1/2) of the oscillator.
+
+    Rejects an l or omega for which one of the Taylor data's l(l+1),
+    omega**2, tau**5 and l(l+1)/tau**5, or its reciprocal, leaves the normal
+    floats: e**708 is about the largest float with a normal reciprocal.
+    """
+    ell, omega = spec.angular, spec.frequency
+    strength = ell * (ell + 1.0)
     if not strength > 0.0:
         raise ValueError("need l(l+1) > 0")
-    return strength ** 0.25 / spec.frequency ** 0.5
+    log_s, log_w = math.log(strength), math.log(omega)
+    log_tau5 = 1.25 * log_s - 2.5 * log_w
+    if max(abs(log_s), abs(2.0 * log_w), abs(log_tau5), abs(log_s - log_tau5)) >= 708.0:
+        raise ValueError(f"l = {ell:g} and omega = {omega:g} are out of range: "
+                         "the oscillator's Taylor data overflow or underflow")
+    return strength ** 0.25 / omega ** 0.5
 
 
 def power_terms(problem: RectifiedProblem) -> list[tuple[complex, int]]:

@@ -205,6 +205,28 @@ def test_verify_toboggan1(capsys, tmp_path):
     assert max(report["relative_errors"]) <= 0.10
 
 
+def test_verify_targets_share_one_level_record(capsys):
+    reports = {}
+    for target in ("ho", "cubic0", "toboggan1"):
+        code, out, _ = run(capsys, "verify", target)
+        assert code == 0
+        reports[target] = json.loads(out)
+    key_lists = {tuple(level) for report in reports.values()
+                 for level in report["levels"]}
+    assert len(key_lists) == 1
+    report = reports["toboggan1"]
+    assert report["problem"]["ell"] == 50.0
+    for n, level in enumerate(report["levels"]):
+        assert level["seed"] == level["closed_form"] == energy_toboggan(1, 50.0, n)
+        assert level["tolerance"] is None
+        assert level["pass"] == level["converged"]
+    # The verdict is unchanged: every level converged and the spacing is
+    # within 10% of the closed-form gap.
+    assert report["passed"] is True
+    assert all(level["converged"] for level in report["levels"])
+    assert max(report["relative_errors"]) <= 0.10
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"ell": 4.0, "levels": 1}))
@@ -337,10 +359,21 @@ def test_figure_empty_tables(capsys):
     (("verify", "ho", "--ell", "inf"), "l must be finite"),
     (("verify", "ho", "--ell", "nan"), "l must be finite"),
     (("verify", "ho", "--omega", "inf"), "omega must be finite"),
+    (("verify", "ho", "--points", "2"), "got points = 2"),
+    (("verify", "ho", "--half-width", "inf"), "half_width must be finite"),
+    (("verify", "ho", "--eps", "inf"), "shift_eps must be finite"),
+    (("verify", "cubic0", "--tol", "nan"), "tol must be finite and positive"),
+    (("verify", "ho", "--tol", "-1"), "tol must be finite and positive"),
+    (("verify", "ho", "--omega", "1e300"), "omega = 1e+300 are out of range"),
+    (("verify", "ho", "--ell", "1e200"), "l = 1e+200 and omega = 1"),
+    (("verify", "ho", "--omega", "1e-300"), "omega = 1e-300 are out of range"),
 ], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
         "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
         "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig2-rho-min-1e-320",
-        "verify-ho-ell-inf", "verify-ho-ell-nan", "verify-ho-omega-inf"])
+        "verify-ho-ell-inf", "verify-ho-ell-nan", "verify-ho-omega-inf",
+        "verify-ho-points-2", "verify-ho-half-width-inf", "verify-ho-eps-inf",
+        "verify-cubic0-tol-nan", "verify-ho-tol-negative",
+        "verify-ho-omega-1e300", "verify-ho-ell-1e200", "verify-ho-omega-1e-300"])
 def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
     assert code == 1
