@@ -36,16 +36,7 @@ from .expansion import (
     taylor_rectified,
     weight_correction_exponent,
 )
-from .potentials import (
-    BranchCutError,
-    HOSpec,
-    ModelSpec,
-    SingularPointError,
-    reality_condition,
-    v_eff,
-    v_eff_cubic,
-    v_eff_ho,
-)
+from .potentials import HOSpec, SingularPointError, v_eff_cubic, v_eff_ho
 from .rectify import (
     RectifiedProblem,
     angular_map,

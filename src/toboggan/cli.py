@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 import numpy as np
 
 from . import eigensolver, spectra
@@ -27,9 +28,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-CUBIC0_CALIBRATION_ELL = 25.0
-CUBIC0_SAFETY = 1.25
-TOBOGGAN1_GAP_TOLERANCE = 0.10
+CUBIC_CALIBRATION_ELL = 25.0
+CUBIC_SAFETY = 1.25
 HO_ENVELOPE = 1e-4
 HO_REFERENCE_POINTS = 6001
 
@@ -272,13 +272,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _level_record(n: int, result: eigensolver.EigenResult, closed: float,
-                  tolerance: float | None, seed: float | None = None) -> dict:
-    """One level of a verify report; the seed defaults to the closed form.
-    With tolerance None the absolute position is not certified, and the
-    level passes when it converged."""
+                  tolerance: float, seed: float | None = None) -> dict:
+    """One level of a verify report; the seed defaults to the closed form."""
     value = result.eigenvalue
     diff = abs(value.real - closed)
-    within = tolerance is None or (diff <= tolerance and abs(value.imag) <= tolerance)
+    within = diff <= tolerance and abs(value.imag) <= tolerance
     return {"n": n, "seed": closed if seed is None else seed,
             "eigenvalue": {"re": value.real, "im": value.imag},
             "residual": result.residual, "iterations": result.iterations,
@@ -293,8 +291,7 @@ def _verify_ho(args: argparse.Namespace, ell: float, count: int, solve):
     results, disc = solve("ho", ell, count, omega=omega)
 
     # Second-order envelope: 1e-4 at the reference grid, scaled by (h/h_ref)^2.
-    reference = eigensolver.auto_discretization(
-        4.0 * omega * omega, disc.shift_eps, 0)
+    reference = eigensolver.auto_discretization(4.0 * omega * omega, disc.shift_eps)
     h_ref = 2.0 * reference.half_width / (HO_REFERENCE_POINTS - 1)
     envelope = HO_ENVELOPE * max(1.0, (disc.step / h_ref) ** 2)
 
@@ -309,50 +306,44 @@ def _verify_ho(args: argparse.Namespace, ell: float, count: int, solve):
              "identity_residual": identity_residual}, identity_residual <= 1e-12)
 
 
-def _verify_cubic0(args: argparse.Namespace, ell: float, count: int, solve):
-    if not ell > CUBIC0_CALIBRATION_ELL:
+def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int,
+                  solve):
+    """Levels of the N-winding problem against the N = 0 closed forms, in
+    the envelope C*tau^(-3/4) calibrated per level on the same problem at
+    l = 25.  For N >= 1 the report adds each level's distance to the
+    paper's winding formula energy_toboggan."""
+    if not ell > CUBIC_CALIBRATION_ELL:
         raise ValueError(
-            f"cubic0 verification needs ell > {CUBIC0_CALIBRATION_ELL:g} "
+            f"{args.target} verification needs ell > {CUBIC_CALIBRATION_ELL:g} "
             "(the calibration point)")
-    calib_results, _ = solve("cubic_toboggan", CUBIC0_CALIBRATION_ELL, count)
-    calib_scale = spectra.energy_error_scale(0, CUBIC0_CALIBRATION_ELL)
-    constants = [abs(r.eigenvalue.real - spectra.energy_cubic(CUBIC0_CALIBRATION_ELL, n))
+    calib_results, _ = solve("cubic_toboggan", CUBIC_CALIBRATION_ELL, count,
+                             winding=winding)
+    calib_scale = spectra.energy_error_scale(0, CUBIC_CALIBRATION_ELL)
+    constants = [abs(r.eigenvalue.real - spectra.energy_cubic(CUBIC_CALIBRATION_ELL, n))
                  / calib_scale for n, r in enumerate(calib_results)]
 
-    results, disc = solve("cubic_toboggan", ell, count)
+    results, disc = solve("cubic_toboggan", ell, count, winding=winding)
     scale = spectra.energy_error_scale(0, ell)
     records = [_level_record(n, results[n], spectra.energy_cubic(ell, n),
-                             CUBIC0_SAFETY * constants[n] * scale)
+                             CUBIC_SAFETY * constants[n] * scale)
                for n in range(count)]
-    calibration = {"ell": CUBIC0_CALIBRATION_ELL, "constants": constants,
-                   "safety": CUBIC0_SAFETY}
-    return ({"model": "cubic_toboggan", "winding": 0, "ell": ell}, disc,
-            {"calibration": calibration, "levels": records}, True)
-
-
-def _verify_toboggan1(args: argparse.Namespace, ell: float, count: int, solve):
-    if count < 2:
-        raise ValueError("toboggan1 verification needs at least 2 levels")
-    results, disc = solve("cubic_toboggan", ell, count, winding=1)
-    # Absolute positions are not certified (the levels sit near the N = 0
-    # ladder): each level only has to converge, and the check is the spacing.
-    records = [_level_record(n, r, spectra.energy_toboggan(1, ell, n), None)
-               for n, r in enumerate(results)]
-    closed_gap = spectra.gap(1, ell)
-    spacings = [results[i + 1].eigenvalue.real - results[i].eigenvalue.real
-                for i in range(count - 1)]
-    rel_errors = [abs(s - closed_gap) / closed_gap for s in spacings]
-    return ({"model": "cubic_toboggan", "winding": 1, "ell": ell}, disc,
-            {"levels": records, "spacings": spacings, "closed_gap": closed_gap,
-             "relative_errors": rel_errors, "gap_tolerance": TOBOGGAN1_GAP_TOLERANCE,
-             "experimental": True}, max(rel_errors) <= TOBOGGAN1_GAP_TOLERANCE)
+    calibration = {"ell": CUBIC_CALIBRATION_ELL, "constants": constants,
+                   "safety": CUBIC_SAFETY}
+    body = {"calibration": calibration, "levels": records}
+    if winding:
+        paper = [spectra.energy_toboggan(winding, ell, n) for n in range(count)]
+        body["paper_closed_form"] = paper
+        body["paper_abs_diff"] = [abs(r.eigenvalue.real - e)
+                                  for r, e in zip(results, paper)]
+    return ({"model": "cubic_toboggan", "winding": winding, "ell": ell}, disc,
+            body, True)
 
 
 # Per verify target: its check, and the default ell, level count and grid
 # points (None: automatic).
 VERIFY_TARGETS = {"ho": (_verify_ho, 10.0, 3, HO_REFERENCE_POINTS),
-                  "cubic0": (_verify_cubic0, 50.0, 2, None),
-                  "toboggan1": (_verify_toboggan1, 50.0, 2, None)}
+                  "cubic0": (partial(_verify_cubic, 0), 50.0, 2, None),
+                  "toboggan1": (partial(_verify_cubic, 1), 50.0, 2, None)}
 
 
 def main(argv: list[str] | None = None) -> int:

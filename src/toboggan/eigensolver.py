@@ -13,7 +13,6 @@ costs O(K).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ import numpy as np
 from .expansion import tau_general, tau_ho, taylor_ho, taylor_rectified
 from .potentials import HOSpec, v_eff_ho
 from .rectify import build_rectified, rectified_potential, weight
-from .spectra import energy_ho_approx, energy_toboggan, gap
+from .spectra import energy_cubic, energy_ho_approx, gap
 
 
 def get_lapack_funcs(names, *args, **kwargs):
@@ -67,6 +66,10 @@ class Discretization:
         if not (math.isfinite(self.shift_eps) and self.shift_eps > 0):
             raise ValueError("shift_eps must be finite and positive, "
                              f"got shift_eps = {self.shift_eps:g}")
+        h2 = self.step ** 2
+        if not (h2 > 0 and math.isfinite(1.0 / h2)):
+            raise ValueError(f"half_width = {self.half_width:g} is too small for "
+                             f"{self.points} points: 1/step**2 overflows")
 
     @property
     def step(self) -> float:
@@ -178,34 +181,27 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     return EigenResult(complex(lam), residual, max_iter, False)
 
 
-def auto_discretization(harmonic: float, shift_eps: float,
-                        winding: int = 0) -> Discretization:
+def auto_discretization(harmonic: float, shift_eps: float) -> Discretization:
     """Grid rule: with the local oscillator length sigma = harmonic**(-1/4),
-    use S = 15*sigma and step <= sigma/20; for winding >= 2 the potential
-    grows so steeply that S shrinks to 8*sigma while the resolution doubles.
-    """
+    use S = 15*sigma and step <= sigma/20."""
     if not harmonic > 0:
         raise ValueError("harmonic coefficient must be positive")
     sigma = harmonic ** -0.25
-    if winding >= 2:
-        half_width = 8.0 * sigma
-        step_max = sigma / 40.0
-    else:
-        half_width = 15.0 * sigma
-        step_max = sigma / 20.0
+    half_width = 15.0 * sigma
+    step_max = sigma / 20.0
     points = max(64, int(math.ceil(2.0 * half_width / step_max)) + 1)
     return Discretization(half_width, points, shift_eps)
 
 
 @dataclass(frozen=True)
 class _Problem:
-    """One oracle problem: evaluators on the grid, the shift tau that puts the
-    potential minimum at s = 0, the harmonic Taylor coefficient there, the
-    closed-form level seeds and level gap."""
+    """One oracle problem: evaluators on the grid, the line shift that puts
+    the well at s = 0, the harmonic Taylor coefficient there, the closed-form
+    level seeds and level gap."""
 
     potential: Callable
     weight: Callable | None
-    tau: float
+    shift: float
     harmonic: complex
     seed: Callable[[int], float]
     gap: float
@@ -219,20 +215,27 @@ def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
                         lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega)
     if model == "cubic_toboggan":
         rectified = build_rectified(winding, ell)
+        # z = -i(iy)**(2N+1) is an exact change of variables, so the well is
+        # the preimage y = -i*eps of the N = 0 well z = -i*tau_0 and the
+        # levels are the N = 0 levels.  There dz/dy = (2N+1) eps**(2N), whose
+        # fourth power scales the N = 0 harmonic coefficient.
+        odd = 2 * winding + 1
+        eps = tau_general(0, ell) ** (1.0 / odd)
+        harmonic = (taylor_rectified(build_rectified(0, ell)).harmonic
+                    * (odd * eps ** (odd - 1)) ** 4)
         return _Problem(partial(rectified_potential, rectified),
-                        partial(weight, rectified), tau_general(winding, ell),
-                        taylor_rectified(rectified).harmonic,
-                        lambda n: energy_toboggan(winding, ell, n), gap(winding, ell))
+                        partial(weight, rectified), eps, harmonic,
+                        lambda n: energy_cubic(ell, n), gap(0, ell))
     raise ValueError(f"unknown model {model!r}")
 
 
-def _grid(problem: _Problem, winding: int, points: int | None,
-          half_width: float | None, eps: float | None) -> Discretization:
+def _grid(problem: _Problem, points: int | None, half_width: float | None,
+          eps: float | None) -> Discretization:
     """auto_discretization for the problem, each given override put in place."""
     harmonic = problem.harmonic
     if abs(harmonic.imag) > 1e-9 * abs(harmonic):
         raise ValueError("harmonic coefficient is not real at the selected root")
-    disc = auto_discretization(harmonic.real, problem.tau, winding)
+    disc = auto_discretization(harmonic.real, problem.shift)
     given = {"points": points, "half_width": half_width, "shift_eps": eps}
     return replace(disc, **{k: v for k, v in given.items() if v is not None})
 
@@ -242,8 +245,7 @@ def resolved_discretization(model: str, ell: float, *, winding: int = 0,
                             half_width: float | None = None,
                             eps: float | None = None) -> Discretization:
     """The grid low_lying solves on for the same arguments."""
-    return _grid(_problem(model, ell, winding, omega), winding, points,
-                 half_width, eps)
+    return _grid(_problem(model, ell, winding, omega), points, half_width, eps)
 
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
@@ -262,30 +264,22 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         Problem parameters; winding and omega apply to their model only.
     points, half_width, eps :
         Grid overrides, each put in place of its auto_discretization value
-        when given (the shift defaults to eps = tau, putting the potential
-        minimum at grid center s = 0).
+        when given.  The shift defaults to the well: eps = tau for the
+        oscillator, and for the winding problem eps = tau_0**(1/(2N+1)),
+        the preimage of the N = 0 well.
     tol :
-        Relative tolerance of inverse_iteration; finite and positive.
+        Relative tolerance of inverse_iteration, with 0 < tol < 1.
     seeds :
-        Explicit shifts, replacing the closed-form level seeds.  With
-        explicit seeds no collision recovery is attempted, so duplicate
-        convergence raises DegenerateEigenvaluesError directly.
+        Explicit shifts, replacing the closed-form level seeds (the N = 0
+        levels energy_cubic for every winding number).
 
-    With automatic seeds, a level that converges onto an already-found
-    eigenvalue is re-seeded one closed-form gap above that eigenvalue before
-    the degeneracy is reported as an error.
+    Two seeds that converge to one eigenvalue raise DegenerateEigenvaluesError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got tol = {tol:g}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be finite and positive, and below 1, got tol = {tol:g}")
     problem = _problem(model, ell, winding, omega)
-    if model == "cubic_toboggan" and winding >= 2:
-        warnings.warn(
-            "winding >= 2 numerics is experimental: the rectified potential "
-            f"grows like y**{10 * winding + 3}, so converged digits are few",
-            RuntimeWarning, stacklevel=2)
-
     if seeds is not None:
         seed_values = [complex(s) for s in seeds]
         if len(seed_values) < count:
@@ -293,28 +287,18 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
     else:
         seed_values = [complex(problem.seed(n)) for n in range(count)]
 
-    disc = _grid(problem, winding, points, half_width, eps)
+    disc = _grid(problem, points, half_width, eps)
     system = build_tridiagonal(problem.potential, disc, problem.weight)
 
     results: list[EigenResult] = []
-    user_seeds = seeds is not None
     for n in range(count):
         result = _iterate_with_retries(system, seed_values[n], tol, max_iter)
         twin = _duplicate_index(results, result.eigenvalue, tol, problem.gap)
         if twin is not None:
-            if user_seeds:
-                raise DegenerateEigenvaluesError(
-                    f"seeds {seed_values[twin]!r} and {seed_values[n]!r} both "
-                    f"converged to {result.eigenvalue!r} (residuals "
-                    f"{results[twin].residual:.3e} and {result.residual:.3e})")
-            reseed = results[twin].eigenvalue + problem.gap * (n - twin)
-            retry = _iterate_with_retries(system, reseed, tol, max_iter)
-            if _duplicate_index(results, retry.eigenvalue, tol, problem.gap) is not None:
-                raise DegenerateEigenvaluesError(
-                    f"levels {twin} and {n} both converged to "
-                    f"{result.eigenvalue!r} (residuals {results[twin].residual:.3e} "
-                    f"and {result.residual:.3e})")
-            result = retry
+            raise DegenerateEigenvaluesError(
+                f"seeds {seed_values[twin]!r} and {seed_values[n]!r} both "
+                f"converged to {result.eigenvalue!r} (residuals "
+                f"{results[twin].residual:.3e} and {result.residual:.3e})")
         results.append(result)
     results.sort(key=lambda r: r.eigenvalue.real)
     return results

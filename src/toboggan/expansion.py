@@ -231,10 +231,15 @@ def cubic_correction_exponent(winding_number: float) -> float:
 
 
 def weight_correction_exponent(winding_number: float) -> float:
-    """tau-exponent -(14N+7)/4 of the first xi-dependent weight correction.
+    """tau-exponent -(14N+7)/4 the paper gives the first xi-dependent weight
+    correction, kept as the record of its claim that the correction is
+    subdominant to the anharmonic one.
 
-    Strictly below cubic_correction_exponent for every N >= 0, so the weight
-    correction is always subdominant to the anharmonic one.
+    The claim does not hold for N >= 1: at the levels, E*W_y is of the same
+    order in l as V_y (both grow like l**(26/15) at N = 1), so it is not a
+    correction but moves the well from -i*tau_N to the preimage
+    y* = -i*tau_0**(1/(2N+1)) of the N = 0 well, whose levels are the N = 0
+    levels energy_cubic.
     """
     return -(14.0 * winding_number + 7.0) / 4.0
 

@@ -12,13 +12,15 @@ SOURCE_CLOSED_FORM = "closed_form"
 
 
 def energy_toboggan(winding_number: int, ell: float, n: int) -> float:
-    """Closed-form level n of the N-winding cubic problem,
+    """The paper's closed-form level n of the N-winding cubic problem,
 
         E = -(10N+5)/2 * tau**(6N+3)
             + (2n+1)/(2N+1) * sqrt((10N+3)(10N+5)/2) * tau**(N+1/2),
 
     with tau = tau_general(N, l).  Asymptotic in l; the first neglected
-    correction scales like tau**(-(6N+3)/4) (see energy_error_scale).
+    correction scales like tau**(-(6N+3)/4) (see energy_error_scale).  For
+    N >= 1 the finite-difference oracle finds the N = 0 levels energy_cubic
+    instead (see expansion.weight_correction_exponent).
     """
     big_n = int(winding_number)
     if n != int(n) or n < 0:

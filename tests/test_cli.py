@@ -200,9 +200,32 @@ def test_verify_toboggan1(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "toboggan1", "--output", str(report_path))
     assert code == 0
     report = json.loads(report_path.read_text())
-    assert report["experimental"] is True
+    assert "experimental" not in report
     assert report["passed"] is True
-    assert max(report["relative_errors"]) <= 0.10
+    assert report["calibration"]["ell"] == 25.0
+    for n, level in enumerate(report["levels"]):
+        assert level["converged"] and level["iterations"] <= 10
+        assert level["closed_form"] == energy_cubic(50.0, n)
+        assert level["abs_diff"] <= level["tolerance"]
+        assert report["paper_closed_form"][n] == energy_toboggan(1, 50.0, n)
+        assert report["paper_abs_diff"][n] > level["tolerance"]
+    code, _, err = run(capsys, "verify", "toboggan1", "--ell", "25")
+    assert code == 1
+    assert "toboggan1 verification needs ell > 25" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ell", ["28", "30", "116.5", "200", "1e4"])
+def test_verify_toboggan1_tells_the_models_apart(capsys, ell):
+    # Every level sits in the calibrated envelope around the N = 0 closed
+    # form, and outside it around the paper's winding formula.
+    code, out, _ = run(capsys, "verify", "toboggan1", "--ell", ell)
+    assert code == 0
+    report = json.loads(out)
+    for n, level in enumerate(report["levels"]):
+        value = level["eigenvalue"]["re"]
+        assert abs(value - energy_cubic(float(ell), n)) <= level["tolerance"]
+        assert abs(value - energy_toboggan(1, float(ell), n)) > level["tolerance"]
 
 
 def test_verify_targets_share_one_level_record(capsys):
@@ -217,14 +240,15 @@ def test_verify_targets_share_one_level_record(capsys):
     report = reports["toboggan1"]
     assert report["problem"]["ell"] == 50.0
     for n, level in enumerate(report["levels"]):
-        assert level["seed"] == level["closed_form"] == energy_toboggan(1, 50.0, n)
-        assert level["tolerance"] is None
-        assert level["pass"] == level["converged"]
-    # The verdict is unchanged: every level converged and the spacing is
-    # within 10% of the closed-form gap.
+        assert level["seed"] == level["closed_form"] == energy_cubic(50.0, n)
+        assert level["tolerance"] > 0
+        assert level["pass"] == (level["converged"]
+                                 and level["abs_diff"] <= level["tolerance"])
+    # cubic0 and toboggan1 share one report shape; toboggan1 adds the paper's
+    # winding formula beside it.
+    assert set(reports["toboggan1"]) - set(reports["cubic0"]) == {
+        "paper_closed_form", "paper_abs_diff"}
     assert report["passed"] is True
-    assert all(level["converged"] for level in report["levels"])
-    assert max(report["relative_errors"]) <= 0.10
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
@@ -367,13 +391,17 @@ def test_figure_empty_tables(capsys):
     (("verify", "ho", "--omega", "1e300"), "omega = 1e+300 are out of range"),
     (("verify", "ho", "--ell", "1e200"), "l = 1e+200 and omega = 1"),
     (("verify", "ho", "--omega", "1e-300"), "omega = 1e-300 are out of range"),
+    (("verify", "ho", "--half-width", "1e-170"), "half_width = 1e-170 is too small"),
+    (("verify", "ho", "--tol", "1e300"), "tol must be finite and positive, and below 1"),
+    (("verify", "ho", "--tol", "1"), "tol must be finite and positive, and below 1"),
 ], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
         "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
         "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig2-rho-min-1e-320",
         "verify-ho-ell-inf", "verify-ho-ell-nan", "verify-ho-omega-inf",
         "verify-ho-points-2", "verify-ho-half-width-inf", "verify-ho-eps-inf",
         "verify-cubic0-tol-nan", "verify-ho-tol-negative",
-        "verify-ho-omega-1e300", "verify-ho-ell-1e200", "verify-ho-omega-1e-300"])
+        "verify-ho-omega-1e300", "verify-ho-ell-1e200", "verify-ho-omega-1e-300",
+        "verify-ho-half-width-1e-170", "verify-ho-tol-1e300", "verify-ho-tol-1"])
 def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -189,22 +189,18 @@ def test_low_lying_user_seed_degeneracy_error():
         low_lying("ho", 10.0, 2, points=601, seeds=[-18.98, -18.99])
 
 
-def test_low_lying_auto_seeds_recover_from_duplicates():
-    # Both closed-form seeds for the winding problem land on the same
-    # eigenvalue; the ladder re-seed must separate them.
-    results = low_lying("cubic_toboggan", 50.0, 2, winding=1)
-    assert len(results) == 2
-    separation = results[1].eigenvalue.real - results[0].eigenvalue.real
-    assert separation > 1.0
-
-
-def test_low_lying_reseeds_near_twins():
-    # At l = 120 both seeds converge on one eigenvalue, but to estimates
-    # about 1e-8 apart (relative), past the 10*tol twin test; the gap-based
-    # twin test must still trigger the re-seed.
-    results = low_lying("cubic_toboggan", 120.0, 2, winding=1)
-    separation = results[1].eigenvalue.real - results[0].eigenvalue.real
-    assert separation > 0.5 * gap(1, 120.0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("winding", [1, 2, 3])
+@pytest.mark.parametrize("ell", [30.0, 100.0, 1000.0])
+def test_winding_levels_are_the_zero_winding_levels(winding, ell):
+    # The rectification is an exact change of variables, so on the grid
+    # centred at the preimage of the N = 0 well the N-winding oracle finds
+    # the N = 0 levels from the N = 0 seeds, quickly and without warnings.
+    reference = low_lying("cubic_toboggan", ell, 3)
+    results = low_lying("cubic_toboggan", ell, 3, winding=winding)
+    for r, ref in zip(results, reference):
+        assert r.converged and r.iterations <= 10
+        assert abs(r.eigenvalue - ref.eigenvalue) <= 1e-5 * abs(ref.eigenvalue)
 
 
 def test_low_lying_validation():
@@ -221,15 +217,11 @@ def test_auto_discretization_rule():
     tau = tau_ho(spec)
     harmonic = 4.0
     sigma = harmonic ** -0.25
-    disc = auto_discretization(harmonic, tau, winding=0)
+    disc = auto_discretization(harmonic, tau)
     assert disc.half_width == pytest.approx(15.0 * sigma, rel=1e-14)
     assert disc.step <= sigma / 20.0
     assert disc.shift_eps == tau
     assert disc.points >= 64
-
-    tight = auto_discretization(100.0, 1.3, winding=2)
-    assert tight.half_width == pytest.approx(8.0 * 100.0 ** -0.25, rel=1e-14)
-    assert tight.step <= 100.0 ** -0.25 / 40.0
     with pytest.raises(ValueError):
         auto_discretization(-1.0, 1.0)
 
@@ -239,9 +231,4 @@ def test_resolved_discretization_overrides():
     assert disc.points == 6001
     assert disc.shift_eps == 2.5
     default = resolved_discretization("cubic_toboggan", 50.0, winding=1)
-    assert default.shift_eps == pytest.approx(tau_general(1, 50.0), rel=1e-15)
-
-
-def test_experimental_warning_for_high_winding():
-    with pytest.warns(RuntimeWarning, match="experimental"):
-        low_lying("cubic_toboggan", 30.0, 1, winding=2)
+    assert default.shift_eps == pytest.approx(tau_general(0, 50.0) ** (1 / 3), rel=1e-15)

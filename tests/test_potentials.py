@@ -4,79 +4,43 @@ import numpy as np
 import pytest
 
 from toboggan.potentials import (
-    BranchCutError,
     HOSpec,
-    ModelSpec,
     SingularPointError,
-    reality_condition,
-    v_eff,
     v_eff_cubic,
     v_eff_ho,
 )
 
 
-def random_points_off_cut(rng, count):
-    """Random complex points avoiding the origin and the upward half axis."""
+def random_points(rng, count):
+    """Random complex points away from the origin."""
     points = []
     while len(points) < count:
         q = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
-        if abs(q) > 1e-3 and not (q.real == 0.0 and q.imag >= 0.0):
+        if abs(q) > 1e-3:
             points.append(q)
     return points
 
 
 def test_v_eff_cubic_case_hand_value():
-    spec = ModelSpec(exponent=1.5, coupling=0.0, angular=0.0)
-    assert v_eff(-1j, spec) == pytest.approx(-1.0, rel=1e-15)
+    assert v_eff_cubic(-1j, 0.0) == pytest.approx(-1.0, rel=1e-15)
 
 
 def test_v_eff_centrifugal_contribution():
     # The l-dependent part alone: l(l+1)/q**2 = 2/(-i)**2 = -2.
-    for exponent in (1.5, 2.0, 2.7):
-        with_l = v_eff(-1j, ModelSpec(exponent=exponent, angular=1.0))
-        without_l = v_eff(-1j, ModelSpec(exponent=exponent, angular=0.0))
-        assert with_l - without_l == pytest.approx(-2.0, rel=1e-14)
+    assert v_eff_cubic(-1j, 1.0) - v_eff_cubic(-1j, 0.0) == pytest.approx(-2.0, rel=1e-14)
 
 
 def test_v_eff_hand_expansion_at_1_minus_i():
     # i(1-i)**3 + 6/(1-i)**2 = (2-2i) + 3i = 2+i
-    spec = ModelSpec(exponent=1.5, angular=2.0)
-    assert v_eff(1 - 1j, spec) == pytest.approx(2 + 1j, rel=1e-14)
-
-
-def test_v_eff_singularity_and_cut_errors():
-    with pytest.raises(SingularPointError):
-        v_eff(0.0, ModelSpec(exponent=1.5))
-    # 2M-2 = 1.5 is fractional: the upward half axis is rejected.
-    with pytest.raises(BranchCutError):
-        v_eff(0.5j, ModelSpec(exponent=1.75))
-    # Integer powers (M = 2) short-circuit and never see the cut.
-    value = v_eff(0.5j, ModelSpec(exponent=2.0, coupling=3.0, angular=1.0))
-    assert np.isfinite(value.real) and np.isfinite(value.imag)
-
-
-def test_v_eff_alpha_zero_skips_fractional_power():
-    # M = 3/2 has integer 2M-2 = 1; with alpha = 0 the fractional (iq)**(1/2)
-    # is never evaluated, so the cut axis is usable.
-    value = v_eff(0.5j, ModelSpec(exponent=1.5, coupling=0.0, angular=1.0))
-    assert value == pytest.approx(v_eff_cubic(0.5j, 1.0), rel=1e-14)
-
-
-def test_v_eff_matches_cubic_on_random_grid():
-    rng = np.random.default_rng(2024)
-    spec = ModelSpec(exponent=1.5, coupling=0.0, angular=3.0)
-    for q in random_points_off_cut(rng, 100):
-        reference = v_eff_cubic(q, 3.0)
-        assert abs(v_eff(q, spec) - reference) <= 1e-13 * abs(reference)
+    assert v_eff_cubic(1 - 1j, 2.0) == pytest.approx(2 + 1j, rel=1e-14)
 
 
 def test_v_eff_pt_symmetry():
     rng = np.random.default_rng(5)
-    for spec in (ModelSpec(1.5, 0.0, 2.0), ModelSpec(2.25, 1.3, 0.5),
-                 ModelSpec(3.0, -0.7, 1.0)):
-        for q in random_points_off_cut(rng, 40):
-            mirrored = v_eff(-q.conjugate(), spec)
-            assert mirrored == pytest.approx(v_eff(q, spec).conjugate(), rel=1e-12)
+    for ell in (0.0, 0.5, 2.0):
+        for q in random_points(rng, 40):
+            mirrored = v_eff_cubic(-q.conjugate(), ell)
+            assert mirrored == pytest.approx(v_eff_cubic(q, ell).conjugate(), rel=1e-12)
 
 
 def test_v_eff_cubic_values():
@@ -118,31 +82,7 @@ def test_v_eff_ho_leading_taylor_value():
     assert value == pytest.approx(2.0 * omega ** 2 * big_q ** 2, rel=1e-13)
 
 
-def test_reality_condition_cases():
-    assert reality_condition(ModelSpec(1.5, 0.0, 0.0)) is True
-    assert reality_condition(ModelSpec(1.5, 10.0, 0.0)) is False
-    # Boundary equality is not sufficient: 2+1+3 = 6 fails the strict test.
-    assert reality_condition(ModelSpec(2.0, 6.0, 1.0)) is False
-
-
-def test_reality_condition_monotone_in_ell():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        exponent = float(rng.uniform(1.01, 4.0))
-        coupling = float(rng.uniform(-5.0, 15.0))
-        seen_true = False
-        for ell in np.linspace(0.0, 20.0, 81):
-            ok = reality_condition(ModelSpec(exponent, coupling, float(ell)))
-            if seen_true:
-                assert ok, "increasing l flipped the condition back to False"
-            seen_true = seen_true or ok
-
-
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ModelSpec(exponent=1.0)
-    with pytest.raises(ValueError):
-        ModelSpec(exponent=2.0, angular=-0.5)
     with pytest.raises(ValueError):
         HOSpec(angular=1.0, frequency=0.0)
     with pytest.raises(ValueError):
