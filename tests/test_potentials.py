@@ -43,6 +43,23 @@ def test_v_eff_pt_symmetry():
             assert mirrored == pytest.approx(v_eff_cubic(q, ell).conjugate(), rel=1e-12)
 
 
+def test_v_eff_singularity_and_cut_errors():
+    spec = HOSpec(angular=1.0, frequency=2.0)
+    with pytest.raises(SingularPointError):
+        v_eff_cubic(0.0, 1.5)
+    with pytest.raises(SingularPointError):
+        v_eff_ho(0.0, spec)
+    # An array that holds the singular point is rejected as a whole.
+    with pytest.raises(SingularPointError):
+        v_eff_cubic(np.array([1.0 + 0j, 0j]), 1.5)
+    with pytest.raises(SingularPointError):
+        v_eff_ho(np.array([0j, 1j]), spec)
+    # Both potentials are rational, so the upward half axis carries no cut:
+    # l(l+1)/(0.5i)**2 + i (0.5i)**3 = -4 l(l+1) + 1/8.
+    assert v_eff_cubic(0.5j, 1.0) == pytest.approx(-8.0 + 0.125, rel=1e-15)
+    assert v_eff_ho(0.5j, spec) == pytest.approx(-8.0 - 1.0, rel=1e-15)
+
+
 def test_v_eff_cubic_values():
     assert v_eff_cubic(1.0, 0.0) == 1j
     assert v_eff_cubic(2j, 1.0) == pytest.approx(7.5 + 0j, rel=1e-15)
