@@ -43,13 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digits() -> int:
-    raw = os.environ.get("TOBOGGAN_PRECISION", "")
-    if not raw:
-        return 17
-    try:
-        return max(1, min(17, int(raw)))
-    except ValueError:
-        return 17
+    raw = os.environ.get("TOBOGGAN_PRECISION", "") or "17"
+    if not (raw.isdecimal() and 1 <= int(raw) <= 17):
+        raise ValueError("TOBOGGAN_PRECISION must be an integer from 1 to 17, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 def build_parser() -> _Parser:
@@ -155,36 +153,33 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
             out.writelines(line % row for row in rows)
 
 
-def _apply_config(parser: _Parser, argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
-    """Re-parse with config-file values as defaults; explicit flags win."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+def _apply_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namespace:
+    """Parse argv again with the config file's values as defaults of every
+    subcommand that has the option: argparse converts each value as if it
+    were typed, and an explicit flag wins however it is spelled."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file: {exc}")
     if not isinstance(config, dict):
         parser.error("config file must contain a JSON object")
-    known = {action.dest for action in parser._actions}
-    for sub_action in parser._subparsers._group_actions:
-        for p in sub_action.choices.values():
-            known |= {action.dest for action in p._actions}
-    overrides = {}
+    commands = parser._subparsers._group_actions[0].choices.values()
     for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        if type(value) not in (str, int, float):  # null, booleans, lists, objects
+            parser.error(f"config value of {key!r} is not a string or a number")
+        options = [action for command in commands for action in command._actions
+                   if action.option_strings and action.dest != "help"
+                   and action.dest == key.replace("-", "_")]
+        if not options:
             parser.error(f"unknown option {key!r} in config file")
-        overrides[dest] = value
-    fresh = parser.parse_args(argv)
-    explicit = _explicitly_set(argv)
-    for dest, value in overrides.items():
-        if dest not in explicit and hasattr(fresh, dest):
-            setattr(fresh, dest, value)
-    return fresh
-
-
-def _explicitly_set(argv: list[str]) -> set[str]:
-    names = set()
-    for token in argv:
-        if token.startswith("--"):
-            names.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return names
+        for action in options:
+            # argparse converts a string default with type= but skips choices.
+            if action.choices is not None and str(value) not in action.choices:
+                parser.error(f"invalid choice {value!r} for {key!r} in config file "
+                             f"(choose from {', '.join(action.choices)})")
+            action.default = str(value)
+    return parser.parse_args(argv)
 
 
 def _contour_rows(winding: int, args: argparse.Namespace) -> list[tuple]:
@@ -352,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            args = _apply_config(parser, argv, args)
+            args = _apply_config(parser, argv, args.config)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     handlers = {

@@ -66,10 +66,12 @@ class Discretization:
         if not (math.isfinite(self.shift_eps) and self.shift_eps > 0):
             raise ValueError("shift_eps must be finite and positive, "
                              f"got shift_eps = {self.shift_eps:g}")
-        h2 = self.step ** 2
-        if not (h2 > 0 and math.isfinite(1.0 / h2)):
-            raise ValueError(f"half_width = {self.half_width:g} is too small for "
-                             f"{self.points} points: 1/step**2 overflows")
+        h2 = self.step * self.step
+        if not (0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            size, what = (("large", "step**2") if h2 == math.inf
+                          else ("small", "1/step**2"))
+            raise ValueError(f"half_width = {self.half_width:g} is too {size} for "
+                             f"{self.points} points: {what} overflows")
 
     @property
     def step(self) -> float:
@@ -113,7 +115,8 @@ class TridiagonalSystem:
 
 def _evaluate(fn: Callable, y: np.ndarray, what: str) -> np.ndarray:
     """Evaluate an array-capable fn on the whole grid at once."""
-    values = np.asarray(fn(y), dtype=complex)
+    with np.errstate(all="ignore"):  # the isfinite check reports overflow
+        values = np.asarray(fn(y), dtype=complex)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} is not finite on the grid")
     return values
@@ -249,7 +252,7 @@ def resolved_discretization(model: str, ell: float, *, winding: int = 0,
 
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
-              omega: float = 1.0, tol: float = 1e-9, max_iter: int = 200,
+              omega: float = 1.0, tol: float = 1e-9,
               points: int | None = None, half_width: float | None = None,
               eps: float | None = None,
               seeds: Sequence[complex] | None = None) -> list[EigenResult]:
@@ -292,7 +295,7 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
 
     results: list[EigenResult] = []
     for n in range(count):
-        result = _iterate_with_retries(system, seed_values[n], tol, max_iter)
+        result = _iterate_with_retries(system, seed_values[n], tol)
         twin = _duplicate_index(results, result.eigenvalue, tol, problem.gap)
         if twin is not None:
             raise DegenerateEigenvaluesError(
@@ -304,16 +307,17 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
     return results
 
 
-def _iterate_with_retries(system: TridiagonalSystem, shift: complex, tol: float,
-                          max_iter: int, retries: int = 5) -> EigenResult:
-    """Run inverse_iteration, nudging the shift past exact collisions."""
+def _iterate_with_retries(system: TridiagonalSystem, shift: complex,
+                          tol: float) -> EigenResult:
+    """Run inverse_iteration, nudging the shift past exact collisions up to
+    four times."""
     current = complex(shift)
-    for _ in range(retries - 1):
+    for _ in range(4):
         try:
-            return inverse_iteration(system, current, tol=tol, max_iter=max_iter)
+            return inverse_iteration(system, current, tol=tol)
         except ShiftCollisionError:
             current = current + 1e-6 * max(abs(current), 1.0)
-    return inverse_iteration(system, current, tol=tol, max_iter=max_iter)
+    return inverse_iteration(system, current, tol=tol)
 
 
 def _duplicate_index(results: Sequence[EigenResult], value: complex,

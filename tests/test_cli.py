@@ -274,6 +274,49 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("config, argv, expect", [
+    ({"levels": 2}, ("spectrum", "--ell", "10", "--lev", "4"), 4),
+    ({"levels": 2}, ("spectrum", "--ell", "10", "--levels=4"), 4),
+    ({"levels": 2}, ("verify", "ho", "--lev", "1"), 1),
+    ({"count": 3}, ("contour",), 3),
+    ({"count": 3}, ("figure", "fig1"), 9),
+    ({"output": 2}, ("spectrum", "--ell", "4"), 5),
+    ({"which": "fig2"}, ("figure", "fig3", "--ell-points", "2"), "'which'"),
+    ({"target": "ho"}, ("verify", "cubic0"), "'target'"),
+    ({"command": "verify"}, ("spectrum", "--ell", "10"), "'command'"),
+    ({"config": "other.json"}, ("spectrum", "--ell", "4"), "'config'"),
+    ({"help": 1}, ("spectrum", "--ell", "4"), "'help'"),
+    ({"levels": "x"}, ("spectrum", "--ell", "4"), "--levels"),
+    ({"levels": 2.5}, ("spectrum", "--ell", "4"), "--levels"),
+    ({"N": [1]}, ("spectrum", "--ell", "4"), "'N'"),
+    ({"output": None}, ("spectrum", "--ell", "4"), "'output'"),
+    ({"format": "xml"}, ("spectrum", "--ell", "4"), "'format'"),
+    ("{", ("spectrum", "--ell", "4"), "config file"),
+], ids=["abbreviated-flag-wins", "flag-with-equals-wins", "verify-flag-wins",
+        "shared-key-contour", "shared-key-figure", "output-is-a-path",
+        "positional-which", "positional-target", "command", "config", "help",
+        "levels-not-int", "levels-float", "N-list", "output-null",
+        "format-not-a-choice", "not-json"])
+def test_config_values_parse_like_flags(capsys, monkeypatch, tmp_path, config,
+                                        argv, expect):
+    # A config value is read as if typed: argparse converts and checks it,
+    # and an explicit flag wins however it is spelled.
+    monkeypatch.chdir(tmp_path)
+    text = config if isinstance(config, str) else json.dumps(config)
+    (tmp_path / "config.json").write_text(text)
+    code, out, err = run(capsys, "--config", "config.json", *argv)
+    if isinstance(expect, str):
+        assert (code, out) == (1, "")
+        assert err.count("error: ") == 1
+        assert err.endswith("\n") and expect in err.splitlines()[-1]
+        return
+    assert (code, err) == (0, "")
+    if "output" in config:
+        out = (tmp_path / str(config["output"])).read_text()
+    rows = json.loads(out)["levels"] if argv[0] == "verify" else parse_csv(out)[1]
+    assert len(rows) == expect
+
+
 def test_precision_environment_override(capsys, monkeypatch):
     monkeypatch.setenv("TOBOGGAN_PRECISION", "5")
     code, out, _ = run(capsys, "spectrum", "--N", "0", "--ell", "4",
@@ -283,6 +326,21 @@ def test_precision_environment_override(capsys, monkeypatch):
     energy_text = rows[0][4]
     assert len(energy_text.replace("-", "").replace(".", "")) <= 6
     assert float(energy_text) == pytest.approx(energy_cubic(4.0, 0), rel=1e-4)
+
+
+@pytest.mark.parametrize("value, digits", [
+    ("", 17), ("1", 1), ("17", 17),
+    ("abc", None), ("99", None), ("0", None), ("-3", None), ("5.5", None)])
+def test_precision_environment_range(capsys, monkeypatch, value, digits):
+    monkeypatch.setenv("TOBOGGAN_PRECISION", value)
+    code, out, err = run(capsys, "spectrum", "--ell", "4", "--levels", "1")
+    if digits is None:
+        assert (code, out) == (1, "")
+        assert err == ("toboggan: error: TOBOGGAN_PRECISION must be an integer "
+                       f"from 1 to 17, got {value!r}\n")
+        return
+    assert code == 0
+    assert parse_csv(out)[1][0][4] == f"%.{digits}g" % energy_cubic(4.0, 0)
 
 
 def test_output_file_writing(capsys, tmp_path):
@@ -394,6 +452,10 @@ def test_figure_empty_tables(capsys):
     (("verify", "ho", "--half-width", "1e-170"), "half_width = 1e-170 is too small"),
     (("verify", "ho", "--tol", "1e300"), "tol must be finite and positive, and below 1"),
     (("verify", "ho", "--tol", "1"), "tol must be finite and positive, and below 1"),
+    (("verify", "ho", "--half-width", "1e300"), "half_width = 1e+300 is too large"),
+    (("verify", "cubic0", "--half-width", "1e300"), "half_width = 1e+300 is too large"),
+    (("verify", "ho", "--eps", "1e-300"), "potential is not finite on the grid"),
+    (("verify", "toboggan1", "--half-width", "1e60"), "potential is not finite on the grid"),
 ], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
         "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
         "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig2-rho-min-1e-320",
@@ -401,7 +463,9 @@ def test_figure_empty_tables(capsys):
         "verify-ho-points-2", "verify-ho-half-width-inf", "verify-ho-eps-inf",
         "verify-cubic0-tol-nan", "verify-ho-tol-negative",
         "verify-ho-omega-1e300", "verify-ho-ell-1e200", "verify-ho-omega-1e-300",
-        "verify-ho-half-width-1e-170", "verify-ho-tol-1e300", "verify-ho-tol-1"])
+        "verify-ho-half-width-1e-170", "verify-ho-tol-1e300", "verify-ho-tol-1",
+        "verify-ho-half-width-1e300", "verify-cubic0-half-width-1e300",
+        "verify-ho-eps-1e-300", "verify-toboggan1-half-width-1e60"])
 def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
     assert code == 1
