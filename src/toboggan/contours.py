@@ -3,7 +3,8 @@
 The contour with winding number N is the image of the straight line
 s - i*shift under w -> -i*(i*w)**(2N+1).  The odd power is evaluated as an
 exact integer power, so the parametrization is single valued and N = 0
-reduces to the straight line itself.
+reduces to the straight line itself.  The path functions take s as a
+scalar or as a numpy array.
 """
 
 from __future__ import annotations
@@ -24,25 +25,18 @@ class WindingContour:
     shift: float
 
     def __post_init__(self):
-        if self.winding_number != int(self.winding_number) or self.winding_number < 0:
-            raise ValueError("winding_number must be a non-negative integer")
-        if not self.shift > 0:
-            raise ValueError("shift must be positive")
-        if not math.isfinite(self.shift):
-            raise ValueError("shift must be finite")
-
-    def point(self, s: float) -> complex:
-        return winding_path(self.winding_number, self.shift, s)
+        winding_path(self.winding_number, self.shift, 0.0)  # rejects a bad N or shift
 
 
-def straight_path(shift: float, s: float) -> complex:
+def straight_path(shift: float, s: float | np.ndarray) -> complex | np.ndarray:
     """Point s - i*shift on the downward-shifted straight line."""
-    if not shift > 0:
-        raise ValueError("shift must be positive")
-    return complex(s, -shift)
+    if not (math.isfinite(shift) and shift > 0):
+        raise ValueError(f"shift must be finite and positive, got shift = {shift:g}")
+    return s - 1j * shift
 
 
-def winding_path(winding_number: int, shift: float, s: float) -> complex:
+def winding_path(winding_number: int, shift: float,
+                 s: float | np.ndarray) -> complex | np.ndarray:
     """Point -i*[i*(s - i*shift)]**(2N+1) on the N-times winding contour.
 
     The power 2N+1 is computed by repeated complex multiplication, never via
@@ -58,7 +52,8 @@ def winding_path(winding_number: int, shift: float, s: float) -> complex:
 def sample_path(contour: WindingContour, s_min: float, s_max: float, count: int) -> list[complex]:
     """Sample the contour at `count` equally spaced parameter values.
 
-    The first point sits at s_min and the last at s_max.
+    The first point sits at s_min and the last at s_max.  A point that
+    overflows comes out as inf or nan, without a numpy warning.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
@@ -66,5 +61,6 @@ def sample_path(contour: WindingContour, s_min: float, s_max: float, count: int)
         raise ValueError("s_min and s_max must be finite")
     if not s_min < s_max:
         raise ValueError("need s_min < s_max")
-    return [contour.point(s) for s in np.linspace(s_min, s_max, count)]
-
+    s = np.linspace(s_min, s_max, count)
+    with np.errstate(all="ignore"):
+        return winding_path(contour.winding_number, contour.shift, s).tolist()

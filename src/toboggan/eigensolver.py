@@ -113,12 +113,14 @@ class TridiagonalSystem:
         return out
 
 
-def _evaluate(fn: Callable, y: np.ndarray, what: str) -> np.ndarray:
-    """Evaluate an array-capable fn on the whole grid at once."""
+def _evaluate(fn: Callable, y: np.ndarray, what: str, disc: Discretization) -> np.ndarray:
+    """Evaluate an array-capable fn on the whole grid y of disc at once."""
     with np.errstate(all="ignore"):  # the isfinite check reports overflow
         values = np.asarray(fn(y), dtype=complex)
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} is not finite on the grid")
+        raise ValueError(f"{what} is not finite on the grid half_width = "
+                         f"{disc.half_width:g}, points = {disc.points}, "
+                         f"eps = {disc.shift_eps:g}")
     return values
 
 
@@ -129,11 +131,11 @@ def build_tridiagonal(potential: Callable, disc: Discretization,
     weight evaluator).  Dirichlet truncation: psi = 0 outside the grid.
     """
     y = disc.complex_grid()
-    values = _evaluate(potential, y, "potential")
+    values = _evaluate(potential, y, "potential", disc)
     if weight_fn is None:
         wdiag = np.ones(disc.points, dtype=complex)
     else:
-        wdiag = _evaluate(weight_fn, y, "weight")
+        wdiag = _evaluate(weight_fn, y, "weight", disc)
     h = disc.step
     return TridiagonalSystem(2.0 / (h * h) + values, -1.0 / (h * h), wdiag)
 
@@ -192,7 +194,7 @@ def auto_discretization(harmonic: float, shift_eps: float) -> Discretization:
     sigma = harmonic ** -0.25
     half_width = 15.0 * sigma
     step_max = sigma / 20.0
-    points = max(64, int(math.ceil(2.0 * half_width / step_max)) + 1)
+    points = int(math.ceil(2.0 * half_width / step_max)) + 1
     return Discretization(half_width, points, shift_eps)
 
 

@@ -25,15 +25,14 @@ PowerTerms = Sequence[tuple[complex, int]]
 
 @dataclass(frozen=True)
 class StationaryFamily:
-    """The full polygon of stationary points; roots[selected_index] = -i*tau."""
+    """The full polygon of stationary points; roots[0] = -i*tau."""
 
     roots: tuple[complex, ...]
     tau: float
-    selected_index: int = 0
 
     @property
     def selected(self) -> complex:
-        return self.roots[self.selected_index]
+        return self.roots[0]
 
 
 @dataclass(frozen=True)

@@ -63,17 +63,12 @@ def rescaled_level_limit(winding_number: int) -> float:
     return -(10 * big_n + 5) / 2.0 * (2.0 / (10 * big_n + 3)) ** 0.6
 
 
-def gap(winding_number: int, ell: float, n: int = 0) -> float:
-    """Level spacing E_{n+1} - E_n in closed form,
+def gap(winding_number: int, ell: float) -> float:
+    """Level spacing E_{n+1} - E_n in closed form, the same for every n,
 
         G = 2/(2N+1) * sqrt((10N+3)(10N+5)/2) * tau**(N+1/2).
-
-    The ladder is exactly equidistant, so the result is independent of n;
-    the argument is accepted for interface symmetry only.
     """
     big_n = int(winding_number)
-    if n != int(n) or n < 0:
-        raise ValueError("quantum number n must be a non-negative integer")
     tau = tau_general(big_n, ell)
     return (2.0 / (2 * big_n + 1)
             * math.sqrt((10 * big_n + 3) * (10 * big_n + 5) / 2.0)
@@ -147,12 +142,11 @@ class SpectrumTable:
         if levels < 1:
             raise ValueError("levels must be at least 1")
         spacing = gap(winding_number, ell)
-        entries = [
-            SpectrumEntry(int(winding_number), float(ell), n,
-                          energy_toboggan(winding_number, ell, n),
-                          rescaled_level(winding_number, ell, n),
-                          spacing, SOURCE_CLOSED_FORM)
-            for n in range(levels)
-        ]
-        return cls(entries, density_parameter(ell))
+        rho = density_parameter(ell)
+        scale = rho ** 0.6  # scale * E is rescaled_level, bit for bit
+        energies = [energy_toboggan(winding_number, ell, n) for n in range(levels)]
+        entries = [SpectrumEntry(int(winding_number), float(ell), n, energy,
+                                 scale * energy, spacing, SOURCE_CLOSED_FORM)
+                   for n, energy in enumerate(energies)]
+        return cls(entries, rho)
 

@@ -474,6 +474,17 @@ def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("argv, grid", [
+    (("verify", "ho", "--eps", "1e-300"), "eps = 1e-300"),
+    (("verify", "toboggan1", "--half-width", "1e60"), "half_width = 1e+60"),
+])
+def test_grid_that_overflows_the_potential_is_named(capsys, argv, grid):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("toboggan: error: potential is not finite on the grid")
+    assert grid in err and "points = " in err
+
+
 def test_closed_form_commands_never_load_scipy():
     # A fresh interpreter, so that no earlier test has imported scipy.
     script = textwrap.dedent("""

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def test_straight_path_rejects_bad_shift():
         straight_path(0.0, 1.0)
     with pytest.raises(ValueError):
         straight_path(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_library_paths_reject_a_shift_that_is_not_finite_and_positive(shift):
+    for call in (lambda: straight_path(shift, 0.0),
+                 lambda: winding_path(1, shift, 0.0),
+                 lambda: WindingContour(1, shift)):
+        with pytest.raises(ValueError, match="shift must be finite and positive"):
+            call()
 
 
 def test_winding_path_hand_values():
@@ -84,8 +94,7 @@ def test_winding_contour_validation():
         WindingContour(-1, 1.0)
     with pytest.raises(ValueError):
         WindingContour(1, 0.0)
-    contour = WindingContour(1, 1.0)
-    assert contour.point(0.0) == -1j
+    assert winding_path(1, 1.0, 0.0) == -1j
 
 
 def test_sample_path_straight_line():
@@ -113,3 +122,21 @@ def test_sample_path_rejects_degenerate_input():
         sample_path(WindingContour(1, 1.0), 0.0, 0.0, 8)
     with pytest.raises(ValueError):
         sample_path(WindingContour(1, 1.0), -1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("winding", [0, 1, 2, 3])
+def test_sample_path_on_arrays_matches_the_scalar_path(winding):
+    eps = 0.7
+    svals = np.linspace(-8.0, 8.0, 2049)  # step 1/128: every s exact
+    assert np.array_equal(svals, -svals[::-1])
+    points = sample_path(WindingContour(winding, eps), -8.0, 8.0, svals.size)
+    assert all(type(q) is complex for q in points)
+    # PT mirror symmetry q(-s) = -conj(q(s)) holds exactly on a symmetric grid.
+    assert all(left == -right.conjugate()
+               for left, right in zip(points, reversed(points)))
+    # Each point within a few rounding errors of the scalar evaluation.
+    for s, q in zip(svals.tolist(), points):
+        scalar = winding_path(winding, eps, s)
+        assert abs(q - scalar) <= 8 * np.finfo(float).eps * abs(scalar)
+    if winding == 0:
+        assert points == [s - 1j * eps for s in svals.tolist()]

@@ -59,11 +59,6 @@ def test_closed_form_energies_increasing_in_n():
         assert all(a < b for a, b in zip(levels, levels[1:]))
 
 
-def test_gap_independent_of_n_exactly():
-    assert gap(0, 4.0, 0) == gap(0, 4.0, 3)
-    assert gap(2, 9.0, 1) == gap(2, 9.0, 7)
-
-
 def test_gap_matches_energy_difference():
     for winding, ell in ((0, 4.0), (1, 4.0), (2, 30.0), (3, 12.0)):
         difference = (energy_toboggan(winding, ell, 3)
