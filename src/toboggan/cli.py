@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
+from operator import itemgetter
 import numpy as np
 
 from . import eigensolver, spectra
@@ -132,17 +133,24 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
                  meta: dict | None = None, key: str | None = None) -> None:
     """Write rows as CSV (the default) or, with --format json, as records.
 
-    JSON is the list of records keyed by header, or with an envelope the meta
-    fields followed by that list under `key`; a record leaves out any field
-    the envelope already carries.  In CSV ints and strings print as they are
-    and floats at the requested number of significant digits; the line format
-    is built once from the first row's cell types.
+    Cells are ints, floats and strs, a column keeping its first row's type;
+    a nan or inf cell is an error, raised before anything is written.  Both
+    formats stream the rows through one %-template built from the header
+    and the first row.  In CSV ints and strings print as they are and floats
+    at the requested number of significant digits.  JSON is the list of
+    records keyed by header, or with an envelope the meta fields followed by
+    that list under `key` (a record leaves out any field the envelope already
+    carries), in the text json.dump(..., indent=2) writes.
     """
+    for i, (name, cell) in enumerate(zip(header, rows[0] if rows else ())):
+        # A sum of finite floats can overflow, but nan and inf always show.
+        if type(cell) is float and not math.isfinite(sum(map(itemgetter(i), rows))):
+            for number, row in enumerate(rows, 1):
+                if not math.isfinite(row[i]):
+                    raise ValueError(f"column {name} is not finite in row {number} "
+                                     f"of {len(rows)}: {row[i]!r}")
     if args.format == "json":
-        meta = meta or {}
-        records = [{k: v for k, v in zip(header, row) if k not in meta}
-                   for row in rows]
-        _write_json(args, {**meta, key: records} if key else records)
+        _write_records(args, header, rows, meta or {}, key)
         return
     float_cell = f"%.{_digits()}g"
     with _open_output(args.output) as out:
@@ -151,6 +159,34 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
             line = ",".join("%s" if isinstance(cell, (int, str)) else float_cell
                             for cell in rows[0]) + "\n"
             out.writelines(line % row for row in rows)
+
+
+def _write_records(args: argparse.Namespace, header: tuple[str, ...],
+                   rows: list[tuple], meta: dict, key: str | None) -> None:
+    """The JSON of _write_table: json's text of the document with an empty
+    list, split where the records go.  %r of an int or a finite float is the
+    text json writes for it; strings are encoded by json."""
+    document = json.dumps({**meta, key: []} if key else [], indent=2)
+    with _open_output(args.output) as out:
+        if not rows:
+            out.write(document + "\n")
+            return
+        cut = document.rindex("[]") + 1
+        indent = "  " if key else ""  # of the list; a record sits one level in
+        pad = indent + "  "
+        kept = [i for i, name in enumerate(header) if name not in meta]
+        texts = {i for i in kept if type(rows[0][i]) is str}
+        fields = ",\n".join(f"{pad}  {json.dumps(header[i]).replace('%', '%%')}: "
+                            + ("%s" if i in texts else "%r") for i in kept)
+        record = f"{pad}{{\n{fields}\n{pad}}}"
+        cells = iter(rows)
+        if texts or len(kept) < len(header):
+            cells = (tuple(json.dumps(row[i]) if i in texts else row[i] for i in kept)
+                     for row in rows)
+        out.write(document[:cut] + "\n" + record % next(cells))
+        record = ",\n" + record
+        out.writelines(record % row for row in cells)
+        out.write(f"\n{indent}{document[cut:]}\n")
 
 
 def _apply_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namespace:
@@ -186,8 +222,7 @@ def _contour_rows(winding: int, args: argparse.Namespace) -> list[tuple]:
     """(s, re, im) samples of one contour, as the --eps/--s-*/--count ask."""
     contour = WindingContour(winding, args.eps)
     points = sample_path(contour, args.s_min, args.s_max, args.count)
-    svals = np.linspace(args.s_min, args.s_max, args.count).tolist()
-    return [(s, q.real, q.imag) for s, q in zip(svals, points)]
+    return [(s, q.real, q.imag) for s, q in zip(points.s.tolist(), points)]
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
@@ -218,11 +253,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
         rhos = np.logspace(math.log10(args.rho_min), math.log10(args.rho_max),
                            args.rho_points)
         rows = []
-        for rho in rhos:
+        for rho in rhos.tolist():
             ell = 1.0 / math.sqrt(rho) - 0.5
             for winding in range(4):
                 for n in range(5):
-                    rows.append((float(rho), winding, n,
+                    rows.append((rho, winding, n,
                                  spectra.rescaled_level(winding, ell, n)))
         header = ("rho", "N", "n", "F")
     else:
@@ -231,9 +266,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
         ells = np.logspace(math.log10(args.ell_min), math.log10(args.ell_max),
                            args.ell_points)
         rows = []
-        for ell in ells:
+        for ell in ells.tolist():
             for winding in range(4):
-                rows.append((float(ell), winding,
+                rows.append((ell, winding,
                              spectra.gap(winding, ell) / ell ** 0.2))
         header = ("ell", "N", "G_scaled")
     _write_table(args, header, rows)

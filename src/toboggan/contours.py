@@ -49,7 +49,18 @@ def winding_path(winding_number: int, shift: float,
     return -1j * ipow(1j * base, 2 * int(winding_number) + 1)
 
 
-def sample_path(contour: WindingContour, s_min: float, s_max: float, count: int) -> list[complex]:
+class PathSamples(list):
+    """The points of sample_path, a list of complex, with the parameter grid
+    they sit at as the array `s`, so that a table of (s, point) rows does
+    not build the grid again."""
+
+    def __init__(self, s: np.ndarray, points: np.ndarray):
+        super().__init__(points.tolist())
+        self.s = s
+
+
+def sample_path(contour: WindingContour, s_min: float, s_max: float,
+                count: int) -> PathSamples:
     """Sample the contour at `count` equally spaced parameter values.
 
     The first point sits at s_min and the last at s_max.  A point that
@@ -63,4 +74,4 @@ def sample_path(contour: WindingContour, s_min: float, s_max: float, count: int)
         raise ValueError("need s_min < s_max")
     s = np.linspace(s_min, s_max, count)
     with np.errstate(all="ignore"):
-        return winding_path(contour.winding_number, contour.shift, s).tolist()
+        return PathSamples(s, winding_path(contour.winding_number, contour.shift, s))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import toboggan
+from toboggan import cli
 from toboggan.cli import main
 from toboggan.contours import WindingContour, sample_path, winding_path
 from toboggan.spectra import (
@@ -427,6 +428,25 @@ def test_figure_empty_tables(capsys):
     assert (code, out) == (0, "[]\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("contour", "--N", "2", "--count", "9"),
+    ("figure", "fig1", "--count", "9"),
+    ("figure", "fig2", "--rho-points", "3"),
+    ("figure", "fig3", "--ell-points", "3"),
+    ("spectrum", "--N", "1", "--ell", "9", "--levels", "3"),
+])
+def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
+    # The JSON writer prints numbers with %r, which for a numpy scalar is
+    # not the text json writes.
+    tables = []
+    original = cli._write_table
+    monkeypatch.setattr(cli, "_write_table", lambda args, header, rows, *rest:
+                        tables.append(rows) or original(args, header, rows, *rest))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(tables) == 1 and tables[0]
+    assert all(type(cell) in (int, float, str) for row in tables[0] for cell in row)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, fragment", [
     (("spectrum", "--ell", "inf"), "l must be finite"),
@@ -456,6 +476,13 @@ def test_figure_empty_tables(capsys):
     (("verify", "cubic0", "--half-width", "1e300"), "half_width = 1e+300 is too large"),
     (("verify", "ho", "--eps", "1e-300"), "potential is not finite on the grid"),
     (("verify", "toboggan1", "--half-width", "1e60"), "potential is not finite on the grid"),
+    (("contour", "--N", "1000", "--count", "3"), "column re is not finite in row 1 of 3"),
+    (("contour", "--N", "1000", "--count", "3", "--format", "json"),
+     "column re is not finite in row 1 of 3"),
+    (("contour", "--N", "3", "--s-max", "1e100", "--count", "3"),
+     "column re is not finite in row 2 of 3"),
+    (("contour", "--N", "3", "--s-max", "1e100", "--count", "3", "--format", "json"),
+     "column re is not finite in row 2 of 3"),
 ], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
         "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
         "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig2-rho-min-1e-320",
@@ -465,7 +492,9 @@ def test_figure_empty_tables(capsys):
         "verify-ho-omega-1e300", "verify-ho-ell-1e200", "verify-ho-omega-1e-300",
         "verify-ho-half-width-1e-170", "verify-ho-tol-1e300", "verify-ho-tol-1",
         "verify-ho-half-width-1e300", "verify-cubic0-half-width-1e300",
-        "verify-ho-eps-1e-300", "verify-toboggan1-half-width-1e60"])
+        "verify-ho-eps-1e-300", "verify-toboggan1-half-width-1e60",
+        "contour-N-1000", "contour-N-1000-json", "contour-s-max-1e100",
+        "contour-s-max-1e100-json"])
 def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
     assert code == 1

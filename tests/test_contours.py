@@ -117,6 +117,12 @@ def test_sample_path_ordering_and_count():
     assert all(a < b for a, b in zip(svals, svals[1:]))
 
 
+def test_sample_path_carries_its_grid():
+    points = sample_path(WindingContour(2, 0.7), -3.0, 5.0, 33)
+    assert np.array_equal(points.s, np.linspace(-3.0, 5.0, 33))
+    assert points == winding_path(2, 0.7, points.s).tolist()
+
+
 def test_sample_path_rejects_degenerate_input():
     with pytest.raises(ValueError):
         sample_path(WindingContour(1, 1.0), 0.0, 0.0, 8)
