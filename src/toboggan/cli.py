@@ -2,10 +2,11 @@
 and verification reports comparing the finite-difference solver against the
 closed formulas.
 
-All commands are deterministic (identical inputs give byte-identical
-output).  Numeric fields carry 17 significant digits unless the environment
-variable TOBOGGAN_PRECISION overrides the count.  Exit status: 0 success,
-1 usage or domain error, 2 verification failure.
+All commands are deterministic: identical inputs give byte-identical
+output, whatever the CPU count or the number of BLAS threads.  Numeric
+fields carry 17 significant digits unless the environment variable
+TOBOGGAN_PRECISION overrides the count.  Exit status: 0 success, 1 usage or
+domain error, 2 verification failure.
 """
 
 from __future__ import annotations

@@ -7,7 +7,13 @@ shifted inverse iteration on the complex tridiagonal pencil (A, B).
 
 The tridiagonal LU factorization (LAPACK gttrf/gttrs) is computed once per
 shift and reused across iterations; B is diagonal throughout, so every sweep
-costs O(K).
+costs O(K): one gttrs solve against the B v of the sweep before, one pass
+that finds the largest modulus and checks it is finite, an in-place
+normalization, A v and B v, and the two Rayleigh-quotient dot products.  The
+residual is formed only on the sweeps that read it.  The dot products run
+over blocks of at most DOT_BLOCK terms, each below the length at which
+OpenBLAS splits a dot product over worker threads, so a sweep starts no BLAS
+thread and its rounding does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ from .expansion import tau_general, tau_ho, taylor_ho, taylor_rectified
 from .potentials import HOSpec, v_eff_ho
 from .rectify import build_rectified, rectified_potential, weight
 from .spectra import energy_cubic, energy_ho_approx, gap
+
+
+# OpenBLAS splits a complex dot product of more than 10,000 terms over its
+# worker threads; one of at most DOT_BLOCK terms runs on the calling thread.
+DOT_BLOCK = 8192
 
 
 def get_lapack_funcs(names, *args, **kwargs):
@@ -140,18 +151,39 @@ def build_tridiagonal(potential: Callable, disc: Discretization,
     return TridiagonalSystem(2.0 / (h * h) + values, -1.0 / (h * h), wdiag)
 
 
+def blocked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b) summed in order over blocks of DOT_BLOCK terms.
+
+    Up to DOT_BLOCK terms it is the single np.vdot call itself, bit for bit.
+    Above that the sum is fixed by the block layout alone, not by how many
+    threads BLAS would split one long call over.
+    """
+    total = np.vdot(a[:DOT_BLOCK], b[:DOT_BLOCK])
+    for start in range(DOT_BLOCK, a.size, DOT_BLOCK):
+        total += np.vdot(a[start:start + DOT_BLOCK], b[start:start + DOT_BLOCK])
+    return total
+
+
 def inverse_iteration(system: TridiagonalSystem, shift: complex,
                       tol: float = 1e-9, max_iter: int = 200) -> EigenResult:
     """Shifted inverse iteration v <- solve(A - shift*B, B v) with
     max-modulus normalization and Rayleigh estimate (v* A v)/(v* B v).
 
+    One sweep solves against the B v the previous sweep computed for its
+    Rayleigh quotient (B times the all-ones start on the first), rejects a
+    solution whose largest modulus is not finite (a nan or inf anywhere
+    makes it so), divides by the entry of largest modulus in place, and
+    forms A v, B v and the two dot products with blocked_vdot.
+
     Converged means the relative change of the estimate dropped below
     tol * max(1, |lambda|) and the residual max|A v - lambda B v| / max|v|
     below the backward-error bound tol * (|A|_inf + |lambda| |B|_inf); the
-    raw residual is what EigenResult reports.  After max_iter sweeps without
-    meeting both, converged is False.  Raises ShiftCollisionError when
-    A - shift*B factorizes as singular, in which case the caller is expected
-    to nudge the shift by about 1e-6 * |shift|.
+    raw residual is what EigenResult reports.  The residual is computed only
+    where it is read: on a sweep whose estimate has settled, and on the
+    last.  After max_iter sweeps without meeting both, converged is False.
+    Raises ShiftCollisionError when A - shift*B factorizes as singular or a
+    solve is not finite, in which case the caller is expected to nudge the
+    shift by about 1e-6 * |shift|.
     """
     n = system.diag.size
     d = system.diag - shift * system.weight
@@ -164,24 +196,25 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
 
     norm_a = float(np.max(np.abs(system.diag))) + 2.0 * abs(system.off)
     norm_b = float(np.max(np.abs(system.weight)))
-    v = np.ones(n, dtype=complex)
+    bv = system.weight * np.ones(n, dtype=complex)
     lam = None
     residual = math.inf
     for iteration in range(1, max_iter + 1):
-        rhs = system.weight * v
-        w, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, rhs)
-        if info != 0 or not np.all(np.isfinite(w)):
+        w, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, bv)
+        modulus = np.abs(w)
+        k = np.argmax(modulus)
+        if info != 0 or not math.isfinite(modulus[k]):
             raise ShiftCollisionError(f"triangular solve failed at shift {shift!r}")
-        v = w / w[np.argmax(np.abs(w))]
+        v = np.divide(w, w[k], out=w)
         av = system.apply_a(v)
         bv = system.weight * v
-        lam_new = complex(np.vdot(v, av) / np.vdot(v, bv))
-        residual = float(np.max(np.abs(av - lam_new * bv)) / np.max(np.abs(v)))
+        lam_new = complex(blocked_vdot(v, av) / blocked_vdot(v, bv))
         settled = (lam is not None
                    and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)))
-        backward_ok = residual <= tol * (norm_a + abs(lam_new) * norm_b)
-        if settled and backward_ok:
-            return EigenResult(lam_new, residual, iteration, True)
+        if settled or iteration == max_iter:
+            residual = float(np.max(np.abs(av - lam_new * bv)) / np.max(np.abs(v)))
+            if settled and residual <= tol * (norm_a + abs(lam_new) * norm_b):
+                return EigenResult(lam_new, residual, iteration, True)
         lam = lam_new
     return EigenResult(complex(lam), residual, max_iter, False)
 

@@ -5,12 +5,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import toboggan
 from toboggan import cli
 from toboggan.cli import main
 from toboggan.contours import WindingContour, sample_path, winding_path
+from toboggan.eigensolver import blocked_vdot
 from toboggan.spectra import (
     SpectrumTable,
     energy_cubic,
@@ -250,6 +252,33 @@ def test_verify_targets_share_one_level_record(capsys):
     assert set(reports["toboggan1"]) - set(reports["cubic0"]) == {
         "paper_closed_form", "paper_abs_diff"}
     assert report["passed"] is True
+
+
+def test_verify_output_does_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of more than 10,000 terms over its
+    # worker threads, which changes its rounding; this grid is past that.
+    argv = ["verify", "ho", "--ell", "40", "--omega", "0.5", "--levels", "4",
+            "--points", "24001"]
+    src = str(Path(toboggan.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "toboggan.cli", *argv],
+                              env=env, check=True, capture_output=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["passed"] is True
+
+
+@pytest.mark.parametrize("points", [1, 601, 8192])
+def test_blocked_dot_is_one_vdot_up_to_a_block(points):
+    # Grids up to a block keep the digits a single np.vdot gave them.
+    rng = np.random.default_rng(points)
+    a, b = (rng.standard_normal(points) + 1j * rng.standard_normal(points)
+            for _ in range(2))
+    got, want = blocked_vdot(a, b), np.vdot(a, b)
+    assert ([float(x).hex() for x in (got.real, got.imag)]
+            == [float(x).hex() for x in (want.real, want.imag)])
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toboggan import eigensolver
 from toboggan.eigensolver import (
@@ -121,13 +123,89 @@ def test_inverse_iteration_fetches_lapack_through_module_name(monkeypatch):
     assert traced == plain
 
 
+def _dense(system: TridiagonalSystem) -> tuple[np.ndarray, np.ndarray]:
+    n = system.diag.size
+    a = np.diag(system.diag) + system.off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return a, np.diag(system.weight)
+
+
 def test_inverse_iteration_reports_non_convergence():
     disc = Discretization(6.0, 401, shift_eps=1.0)
     system = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
-    result = inverse_iteration(system, 0.9, tol=1e-12, max_iter=1)
-    assert not result.converged
-    assert result.iterations == 1
-    assert result.residual > 0.0
+    # The estimate and residual reported are those of the last sweep,
+    # recomputed here with dense matrices.
+    a, b = _dense(system)
+    for max_iter in (1, 3):
+        v = np.ones(system.diag.size, complex)
+        for _ in range(max_iter):
+            w = np.linalg.solve(a - 0.9 * b, b @ v)
+            v = w / w[np.argmax(np.abs(w))]
+        lam = np.vdot(v, a @ v) / np.vdot(v, b @ v)
+        residual = np.max(np.abs(a @ v - lam * (b @ v))) / np.max(np.abs(v))
+        result = inverse_iteration(system, 0.9, tol=1e-12, max_iter=max_iter)
+        assert (result.converged, result.iterations) == (False, max_iter)
+        assert result.eigenvalue == pytest.approx(lam, rel=1e-12)
+        assert result.residual == pytest.approx(residual, rel=1e-8)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, -math.inf)])
+def test_non_finite_solve_raises_shift_collision(monkeypatch, bad):
+    # One non-finite entry away from the largest one must still be caught:
+    # the finiteness check reads only the modulus at argmax |w|.
+    disc = Discretization(6.0, 401, shift_eps=1.0)
+    system = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
+    original = eigensolver.get_lapack_funcs
+
+    def poisoned(names, *args, **kwargs):
+        gttrf, gttrs = original(names, *args, **kwargs)
+
+        def gttrs_non_finite(*solve_args, **solve_kwargs):
+            w, info = gttrs(*solve_args, **solve_kwargs)
+            largest = int(np.argmax(np.abs(w)))
+            w[(largest + w.size // 2) % w.size] = bad
+            return w, info
+
+        return gttrf, gttrs_non_finite
+
+    monkeypatch.setattr(eigensolver, "get_lapack_funcs", poisoned)
+    with pytest.raises(ShiftCollisionError, match="triangular solve failed"):
+        inverse_iteration(system, 0.9)
+
+
+@st.composite
+def seeded_pencils(draw):
+    """(system, shift, eigenvalue): a random complex tridiagonal pencil with
+    diagonal B, one of its eigenvalues from a dense solver, and a shift
+    within a tenth of that eigenvalue's distance to the nearest other one."""
+    k = draw(st.integers(3, 40))
+
+    def values(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+
+    diag = values(-10.0, 10.0) + 1j * values(-1.0, 1.0)
+    weights = values(0.5, 2.0) * np.exp(1j * values(-0.5, 0.5))
+    off = draw(st.floats(0.5, 3.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    system = TridiagonalSystem(diag, complex(off), weights)
+    a, b = _dense(system)
+    eigenvalues = np.linalg.eigvals(np.linalg.solve(b, a))
+    j = draw(st.integers(0, k - 1))
+    gap_j = np.min(np.abs(np.delete(eigenvalues, j) - eigenvalues[j]))
+    offset = (draw(st.floats(0.01, 0.1)) * gap_j
+              * np.exp(1j * draw(st.floats(-math.pi, math.pi))))
+    return system, complex(eigenvalues[j] + offset), complex(eigenvalues[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_pencils())
+def test_inverse_iteration_converges_to_the_seeded_eigenvalue(pencil):
+    system, shift, eigenvalue = pencil
+    tol = 1e-10
+    result = inverse_iteration(system, shift, tol=tol)
+    assert result.converged
+    assert abs(result.eigenvalue - eigenvalue) <= 1e-8 * max(1.0, abs(eigenvalue))
+    norm_a = float(np.max(np.abs(system.diag))) + 2.0 * abs(system.off)
+    norm_b = float(np.max(np.abs(system.weight)))
+    assert result.residual <= tol * (norm_a + abs(result.eigenvalue) * norm_b)
 
 
 def test_converged_residual_respects_tolerance():
