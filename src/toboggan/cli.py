@@ -7,6 +7,10 @@ output, whatever the CPU count or the number of BLAS threads.  Numeric
 fields carry 17 significant digits unless the environment variable
 TOBOGGAN_PRECISION overrides the count.  Exit status: 0 success, 1 usage or
 domain error, 2 verification failure.
+
+--config FILE's values go in as --option=value flags right after the
+subcommand, so argparse checks them as typed and flags given later win.
+main() builds the parser once per process, on its first call.
 """
 
 from __future__ import annotations
@@ -105,6 +109,10 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=None, help="line shift override")
     p.add_argument("--tol", type=float, default=1e-9)
     _output_options(p)
+    # Each subcommand's options but --help by dest, for --config.
+    parser.commands = {name: {action.dest: action for action in command._actions
+                              if action.option_strings and action.dest != "help"}
+                       for name, command in sub.choices.items()}
     return parser
 
 
@@ -122,12 +130,6 @@ def _open_output(path: str | None):
     else:
         with open(path, "w", encoding="utf-8") as stream:
             yield stream
-
-
-def _write_json(args: argparse.Namespace, payload) -> None:
-    with _open_output(args.output) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
 
 
 def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[tuple],
@@ -190,33 +192,37 @@ def _write_records(args: argparse.Namespace, header: tuple[str, ...],
         out.write(f"\n{indent}{document[cut:]}\n")
 
 
-def _apply_config(parser: _Parser, argv: list[str], path: str) -> argparse.Namespace:
-    """Parse argv again with the config file's values as defaults of every
-    subcommand that has the option: argparse converts each value as if it
-    were typed, and an explicit flag wins however it is spelled."""
+def _with_config(parser: _Parser, argv: list[str],
+                 args: argparse.Namespace) -> list[str]:
+    """argv with the config file's values typed in as --option=value words
+    right after the subcommand word, for the options that subcommand has:
+    argparse converts and checks them as typed, and the user's own flags,
+    later in argv, win however they are spelled."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(config, dict):
         parser.error("config file must contain a JSON object")
-    commands = parser._subparsers._group_actions[0].choices.values()
+    own, words = parser.commands[args.command], []
     for key, value in config.items():
         if type(value) not in (str, int, float):  # null, booleans, lists, objects
             parser.error(f"config value of {key!r} is not a string or a number")
-        options = [action for command in commands for action in command._actions
-                   if action.option_strings and action.dest != "help"
-                   and action.dest == key.replace("-", "_")]
+        dest = key.replace("-", "_")
+        options = [opts[dest] for opts in parser.commands.values() if dest in opts]
         if not options:
             parser.error(f"unknown option {key!r} in config file")
-        for action in options:
-            # argparse converts a string default with type= but skips choices.
+        for action in options:  # argparse's own message would not name the key
             if action.choices is not None and str(value) not in action.choices:
                 parser.error(f"invalid choice {value!r} for {key!r} in config file "
                              f"(choose from {', '.join(action.choices)})")
-            action.default = str(value)
-    return parser.parse_args(argv)
+        if dest in own:
+            words.append(f"{own[dest].option_strings[0]}={value}")
+    at = 0  # the subcommand word: only --config PATH and --config=PATH precede it
+    while argv[at].startswith("-"):
+        at += 1 if "=" in argv[at] else 2
+    return [*argv[:at + 1], *words, *argv[at + 1:]]
 
 
 def _contour_rows(winding: int, args: argparse.Namespace) -> list[tuple]:
@@ -253,24 +259,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
             raise ValueError("need 0 < rho-min < rho-max <= 1e-2")
         rhos = np.logspace(math.log10(args.rho_min), math.log10(args.rho_max),
                            args.rho_points)
-        rows = []
-        for rho in rhos.tolist():
-            ell = 1.0 / math.sqrt(rho) - 0.5
-            for winding in range(4):
-                for n in range(5):
-                    rows.append((rho, winding, n,
-                                 spectra.rescaled_level(winding, ell, n)))
+        rows = [(rho, winding, n, spectra.rescaled_level(winding, ell, n))
+                for rho, ell in zip(rhos.tolist(), (1.0 / np.sqrt(rhos) - 0.5).tolist())
+                for winding in range(4) for n in range(5)]
         header = ("rho", "N", "n", "F")
     else:
         if not (0 < args.ell_min < args.ell_max < math.inf):
             raise ValueError("need 0 < ell-min < ell-max < inf")
         ells = np.logspace(math.log10(args.ell_min), math.log10(args.ell_max),
                            args.ell_points)
-        rows = []
-        for ell in ells.tolist():
-            for winding in range(4):
-                rows.append((ell, winding,
-                             spectra.gap(winding, ell) / ell ** 0.2))
+        rows = [(ell, winding, spectra.gap(winding, ell) / ell ** 0.2)
+                for ell in ells.tolist() for winding in range(4)]
         header = ("ell", "N", "G_scaled")
     _write_table(args, header, rows)
     return EXIT_OK
@@ -295,10 +294,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # extras in report order; ok: the target's condition beside every level.
     problem, disc, body, ok = target(args, ell, count, solve)
     passed = all(level["pass"] for level in body["levels"]) and ok
-    _write_json(args, {"problem": {"target": args.target, **problem},
-                       "grid": {"half_width": disc.half_width, "points": disc.points,
-                                "eps": disc.shift_eps, "step": disc.step},
-                       **body, "passed": passed})
+    with _open_output(args.output) as out:
+        print(json.dumps({"problem": {"target": args.target, **problem},
+                          "grid": {"half_width": disc.half_width, "points": disc.points,
+                                   "eps": disc.shift_eps, "step": disc.step},
+                          **body, "passed": passed}, indent=2), file=out)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -377,23 +377,23 @@ VERIFY_TARGETS = {"ho": (_verify_ho, 10.0, 3, HO_REFERENCE_POINTS),
                   "toboggan1": (partial(_verify_cubic, 1), 50.0, 2, None)}
 
 
+_parser: _Parser | None = None  # built by the first main() call
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if args.config is not None:
-            args = _apply_config(parser, argv, args.config)
+            args = _parser.parse_args(_with_config(_parser, argv, args))
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    handlers = {
-        "contour": cmd_contour,
-        "spectrum": cmd_spectrum,
-        "figure": cmd_figure,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        # By name at call time, so a wrapper patched onto a cmd_* applies.
+        return globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -180,11 +180,13 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     below the backward-error bound tol * (|A|_inf + |lambda| |B|_inf); the
     raw residual is what EigenResult reports.  The residual is computed only
     where it is read: on a sweep whose estimate has settled, and on the
-    last.  After max_iter sweeps without meeting both, converged is False.
-    Raises ShiftCollisionError when A - shift*B factorizes as singular or a
-    solve is not finite, in which case the caller is expected to nudge the
-    shift by about 1e-6 * |shift|.
+    last.  After max_iter sweeps without meeting both, converged is False;
+    max_iter below 1 raises ValueError.  Raises ShiftCollisionError when
+    A - shift*B factorizes as singular or a solve is not finite, in which
+    case the caller is expected to nudge the shift by about 1e-6 * |shift|.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got max_iter = {max_iter}")
     n = system.diag.size
     d = system.diag - shift * system.weight
     dl = np.full(n - 1, system.off, dtype=complex)

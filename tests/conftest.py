@@ -8,8 +8,21 @@ never touches the analytic differentiation path it is checking.
 
 from __future__ import annotations
 
+import warnings
+
 import mpmath as mp
 import numpy as np
+
+# hypothesis imports libcst, when it is installed, to print the patch for a
+# falsifying example, and libcst warns at import (mypy_extensions.TypedDict
+# is deprecated).  Under -W error that warning turns the failure report into
+# an INTERNALERROR, so import libcst here first with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 def fd_taylor(terms, point: complex, h: float):

@@ -297,6 +297,26 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert len(rows) == 2
 
 
+def test_one_parser_and_no_config_left_over(capsys, monkeypatch, tmp_path):
+    # The first main() call builds the parser and later calls share it; a
+    # config file's values reach only the call that names it.  The file is
+    # named like a subcommand, and both spellings of --config are used.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spectrum").write_text(json.dumps({"levels": 2}))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv, levels in [(("--config", "spectrum", "spectrum", "--ell", "4"), 2),
+                         (("spectrum", "--ell", "4"), 5),
+                         (("--config=spectrum", "spectrum", "--ell", "4"), 2),
+                         (("spectrum", "--ell", "4"), 5)]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == levels
+    assert len(built) == 1
+
+
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"no-such-option": 1}))

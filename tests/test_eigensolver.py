@@ -148,6 +148,14 @@ def test_inverse_iteration_reports_non_convergence():
         assert result.residual == pytest.approx(residual, rel=1e-8)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_inverse_iteration_rejects_max_iter_below_one(max_iter):
+    disc = Discretization(half_width=1.0, points=3, shift_eps=1.0)
+    system = build_tridiagonal(lambda y: np.zeros_like(y), disc)
+    with pytest.raises(ValueError, match=f"max_iter = {max_iter}$"):
+        inverse_iteration(system, 0.5, max_iter=max_iter)
+
+
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, -math.inf)])
 def test_non_finite_solve_raises_shift_collision(monkeypatch, bad):
     # One non-finite entry away from the largest one must still be caught:
