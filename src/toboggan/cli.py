@@ -37,7 +37,6 @@ EXIT_VERIFY = 2
 CUBIC_CALIBRATION_ELL = 25.0
 CUBIC_SAFETY = 1.25
 HO_ENVELOPE = 1e-4
-HO_REFERENCE_POINTS = 6001
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--half-width", type=float, default=None)
     p.add_argument("--eps", type=float, default=None, help="line shift override")
     p.add_argument("--tol", type=float, default=1e-9)
-    _output_options(p)
+    _output_options(p, table=False)
     # Each subcommand's options but --help by dest, for --config.
     parser.commands = {name: {action.dest: action for action in command._actions
                               if action.option_strings and action.dest != "help"}
@@ -116,11 +115,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _output_options(p: argparse.ArgumentParser) -> None:
+def _output_options(p: argparse.ArgumentParser, table: bool = True) -> None:
     p.add_argument("--output", type=str, default=None,
                    help="output path (default: standard output)")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="output format (default csv; verify always emits JSON)")
+    if table:  # verify writes JSON only
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="output format (default csv)")
 
 
 @contextmanager
@@ -279,10 +279,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Solve one target and write the report every target shares: problem,
     grid, one record per level, the target's extras and the verdict."""
     target, *defaults = VERIFY_TARGETS[args.target]
-    given = (args.ell, args.levels, args.points)
-    ell, count, points = (default if value is None else value
-                          for default, value in zip(defaults, given))
-    grid = {"points": points, "half_width": args.half_width, "eps": args.eps}
+    ell, count = (default if value is None else value
+                  for default, value in zip(defaults, (args.ell, args.levels)))
+    grid = {"points": args.points, "half_width": args.half_width, "eps": args.eps}
 
     def solve(model: str, ell: float, count: int, **problem):
         """low_lying's levels, and the grid it solved them on."""
@@ -321,10 +320,9 @@ def _verify_ho(args: argparse.Namespace, ell: float, count: int, solve):
     approx = [spectra.energy_ho_approx(ell, omega, n) for n in range(count)]
     results, disc = solve("ho", ell, count, omega=omega)
 
-    # Second-order envelope: 1e-4 at the reference grid, scaled by (h/h_ref)^2.
-    reference = eigensolver.auto_discretization(4.0 * omega * omega, disc.shift_eps)
-    h_ref = 2.0 * reference.half_width / (HO_REFERENCE_POINTS - 1)
-    envelope = HO_ENVELOPE * max(1.0, (disc.step / h_ref) ** 2)
+    # Second-order envelope: 1e-4 on the automatic grid, scaled by (h/h_auto)^2.
+    h_auto = eigensolver.resolved_discretization("ho", ell, omega=omega).step
+    envelope = HO_ENVELOPE * max(1.0, (disc.step / h_auto) ** 2)
 
     records = [_level_record(n, results[n], exact[n], envelope, seed=approx[n])
                for n in range(count)]
@@ -341,14 +339,16 @@ def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int
                   solve):
     """Levels of the N-winding problem against the N = 0 closed forms, in
     the envelope C*tau^(-3/4) calibrated per level on the same problem at
-    l = 25.  For N >= 1 the report adds each level's distance to the
-    paper's winding formula energy_toboggan."""
+    l = 25 (on --points, a resolution in oscillator lengths, but not on the
+    lengths --half-width and --eps).  For N >= 1 the report adds each
+    level's distance to the paper's winding formula energy_toboggan."""
     if not ell > CUBIC_CALIBRATION_ELL:
         raise ValueError(
             f"{args.target} verification needs ell > {CUBIC_CALIBRATION_ELL:g} "
             "(the calibration point)")
-    calib_results, _ = solve("cubic_toboggan", CUBIC_CALIBRATION_ELL, count,
-                             winding=winding)
+    calib_results = eigensolver.low_lying("cubic_toboggan", CUBIC_CALIBRATION_ELL,
+                                          count, winding=winding, tol=args.tol,
+                                          points=args.points)
     calib_scale = spectra.energy_error_scale(0, CUBIC_CALIBRATION_ELL)
     constants = [abs(r.eigenvalue.real - spectra.energy_cubic(CUBIC_CALIBRATION_ELL, n))
                  / calib_scale for n, r in enumerate(calib_results)]
@@ -370,11 +370,10 @@ def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int
             body, True)
 
 
-# Per verify target: its check, and the default ell, level count and grid
-# points (None: automatic).
-VERIFY_TARGETS = {"ho": (_verify_ho, 10.0, 3, HO_REFERENCE_POINTS),
-                  "cubic0": (partial(_verify_cubic, 0), 50.0, 2, None),
-                  "toboggan1": (partial(_verify_cubic, 1), 50.0, 2, None)}
+# Per verify target: its check, and the default ell and level count.
+VERIFY_TARGETS = {"ho": (_verify_ho, 10.0, 3),
+                  "cubic0": (partial(_verify_cubic, 0), 50.0, 2),
+                  "toboggan1": (partial(_verify_cubic, 1), 50.0, 2)}
 
 
 _parser: _Parser | None = None  # built by the first main() call

@@ -221,23 +221,21 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     return EigenResult(complex(lam), residual, max_iter, False)
 
 
-def auto_discretization(harmonic: float, shift_eps: float) -> Discretization:
+def auto_discretization(harmonic: float, shift_eps: float,
+                        points: int = 601) -> Discretization:
     """Grid rule: with the local oscillator length sigma = harmonic**(-1/4),
-    use S = 15*sigma and step <= sigma/20."""
+    exactly `points` points on [-15*sigma, 15*sigma]; the default 601 puts
+    the step at sigma/20."""
     if not harmonic > 0:
         raise ValueError("harmonic coefficient must be positive")
-    sigma = harmonic ** -0.25
-    half_width = 15.0 * sigma
-    step_max = sigma / 20.0
-    points = int(math.ceil(2.0 * half_width / step_max)) + 1
-    return Discretization(half_width, points, shift_eps)
+    return Discretization(15.0 * harmonic ** -0.25, points, shift_eps)
 
 
 @dataclass(frozen=True)
 class _Problem:
     """One oracle problem: evaluators on the grid, the line shift that puts
-    the well at s = 0, the harmonic Taylor coefficient there, the closed-form
-    level seeds and level gap."""
+    the well at s = 0, the (real) harmonic Taylor coefficient there, the
+    closed-form level seeds and gap, and its automatic grid's point count."""
 
     potential: Callable
     weight: Callable | None
@@ -245,6 +243,7 @@ class _Problem:
     harmonic: complex
     seed: Callable[[int], float]
     gap: float
+    points: int
 
 
 def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
@@ -252,7 +251,7 @@ def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
         spec = HOSpec(angular=ell, frequency=omega)
         return _Problem(partial(v_eff_ho, spec=spec), None, tau_ho(spec),
                         taylor_ho(spec).harmonic,
-                        lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega)
+                        lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega, 6001)
     if model == "cubic_toboggan":
         rectified = build_rectified(winding, ell)
         # z = -i(iy)**(2N+1) is an exact change of variables, so the well is
@@ -265,17 +264,14 @@ def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
                     * (odd * eps ** (odd - 1)) ** 4)
         return _Problem(partial(rectified_potential, rectified),
                         partial(weight, rectified), eps, harmonic,
-                        lambda n: energy_cubic(ell, n), gap(0, ell))
+                        lambda n: energy_cubic(ell, n), gap(0, ell), 601)
     raise ValueError(f"unknown model {model!r}")
 
 
 def _grid(problem: _Problem, points: int | None, half_width: float | None,
           eps: float | None) -> Discretization:
     """auto_discretization for the problem, each given override put in place."""
-    harmonic = problem.harmonic
-    if abs(harmonic.imag) > 1e-9 * abs(harmonic):
-        raise ValueError("harmonic coefficient is not real at the selected root")
-    disc = auto_discretization(harmonic.real, problem.shift)
+    disc = auto_discretization(problem.harmonic.real, problem.shift, problem.points)
     given = {"points": points, "half_width": half_width, "shift_eps": eps}
     return replace(disc, **{k: v for k, v in given.items() if v is not None})
 
@@ -304,9 +300,11 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         Problem parameters; winding and omega apply to their model only.
     points, half_width, eps :
         Grid overrides, each put in place of its auto_discretization value
-        when given.  The shift defaults to the well: eps = tau for the
-        oscillator, and for the winding problem eps = tau_0**(1/(2N+1)),
-        the preimage of the N = 0 well.
+        when given.  That grid has half-width 15*sigma, sigma the oscillator
+        length at the well, and 601 points (step sigma/20) for the winding
+        problem or 6001 (step sigma/200) for the oscillator.  The shift
+        defaults to the well: eps = tau for the oscillator, and for the
+        winding problem eps = tau_0**(1/(2N+1)), the N = 0 well's preimage.
     tol :
         Relative tolerance of inverse_iteration, with 0 < tol < 1.
     seeds :

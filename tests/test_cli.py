@@ -231,6 +231,48 @@ def test_verify_toboggan1_tells_the_models_apart(capsys, ell):
         assert abs(value - energy_toboggan(1, float(ell), n)) > level["tolerance"]
 
 
+def test_verify_cubic0_grid_has_601_points(capsys):
+    code, out, _ = run(capsys, "verify", "cubic0", "--ell", "100")
+    assert code == 0
+    assert json.loads(out)["grid"]["points"] == 601
+
+
+def test_verify_ho_envelope_on_its_automatic_grid_is_exact(capsys):
+    code, out, _ = run(capsys, "verify", "ho", "--omega", "0.3048632888327971",
+                       "--ell", "4.529846941673305", "--levels", "1")
+    assert code == 0
+    assert json.loads(out)["levels"][0]["tolerance"] == 1e-4
+
+
+@pytest.mark.parametrize("target", ["cubic0", "toboggan1"])
+@pytest.mark.parametrize("flag, key", [("--eps", "eps"),
+                                       ("--half-width", "half_width")])
+def test_verify_grid_override_leaves_the_calibration_alone(capsys, target,
+                                                           flag, key):
+    # Restating the automatic grid's own eps or half-width changes nothing:
+    # those lengths are meant for the requested l, not the l = 25 calibration.
+    code, bare, _ = run(capsys, "verify", target, "--ell", "1000")
+    assert code == 0
+    value = repr(json.loads(bare)["grid"][key])
+    code, out, _ = run(capsys, "verify", target, "--ell", "1000", flag, value)
+    assert code == 0
+    assert out == bare
+
+
+def test_verify_has_no_format_option(capsys, tmp_path):
+    # verify writes JSON only, so --format is a usage error; a config file's
+    # "format" key still sets the table commands and leaves verify alone.
+    code, out, err = run(capsys, "verify", "ho", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == ("toboggan: error: unrecognized arguments: "
+                                    "--format csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"levels": 1, "format": "json"}))
+    code, out, err = run(capsys, "--config", str(config), "verify", "ho")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["levels"]) == 1
+
+
 def test_verify_targets_share_one_level_record(capsys):
     reports = {}
     for target in ("ho", "cubic0", "toboggan1"):

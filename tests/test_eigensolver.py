@@ -305,11 +305,22 @@ def test_auto_discretization_rule():
     sigma = harmonic ** -0.25
     disc = auto_discretization(harmonic, tau)
     assert disc.half_width == pytest.approx(15.0 * sigma, rel=1e-14)
-    assert disc.step <= sigma / 20.0
+    assert disc.points == 601
+    assert disc.step == pytest.approx(sigma / 20.0, rel=1e-15)
     assert disc.shift_eps == tau
     assert disc.points >= 64
     with pytest.raises(ValueError):
         auto_discretization(-1.0, 1.0)
+
+
+def test_automatic_grid_point_count_is_exact():
+    # 601 points for the winding problem and 6001 for the oscillator, at
+    # every l: no rounding of a quotient decides the count.
+    for ell in np.geomspace(25.0, 1e4, 2001)[1:].tolist():
+        for winding in (0, 1):
+            assert resolved_discretization("cubic_toboggan", ell,
+                                           winding=winding).points == 601
+        assert resolved_discretization("ho", ell).points == 6001
 
 
 def test_resolved_discretization_overrides():
