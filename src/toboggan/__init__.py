@@ -1,21 +1,12 @@
 """Large-angular-momentum spectra of imaginary cubic oscillators on winding
 complex contours, validated against a finite-difference complex eigensolver
 and an exactly solvable oscillator benchmark.
+
+The eigensolver's names are imported on first use (PEP 562): that module
+loads numpy, which the closed forms never need.
 """
 
 from .contours import WindingContour, sample_path, straight_path, winding_path
-from .eigensolver import (
-    DegenerateEigenvaluesError,
-    Discretization,
-    EigenResult,
-    ShiftCollisionError,
-    TridiagonalSystem,
-    auto_discretization,
-    build_tridiagonal,
-    inverse_iteration,
-    low_lying,
-    resolved_discretization,
-)
 from .expansion import (
     RescaledForm,
     StationaryFamily,
@@ -60,3 +51,23 @@ from .spectra import (
 )
 
 __version__ = "0.1.0"
+
+_EIGENSOLVER_NAMES = frozenset((
+    "DegenerateEigenvaluesError",
+    "Discretization",
+    "EigenResult",
+    "ShiftCollisionError",
+    "TridiagonalSystem",
+    "auto_discretization",
+    "build_tridiagonal",
+    "inverse_iteration",
+    "low_lying",
+    "resolved_discretization",
+))
+
+
+def __getattr__(name: str):
+    if name in _EIGENSOLVER_NAMES:
+        from . import eigensolver
+        return getattr(eigensolver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,7 +3,11 @@ and verification reports comparing the finite-difference solver against the
 closed formulas.
 
 All commands are deterministic: identical inputs give byte-identical
-output, whatever the CPU count or the number of BLAS threads.  Numeric
+output, whatever the CPU count or the number of BLAS threads.  spectrum
+and figure fig2/fig3 compute with Python floats and libm alone and never
+import numpy, so their output does not depend on the CPU's SIMD features
+either; contour, fig1 and verify values go through numpy, whose SIMD paths
+can still move a last digit from one CPU to another.  Numeric
 fields carry 17 significant digits unless the environment variable
 TOBOGGAN_PRECISION overrides the count.  Exit status: 0 success, 1 usage or
 domain error, 2 verification failure.
@@ -23,12 +27,14 @@ import sys
 from contextlib import contextmanager
 from functools import partial
 from operator import itemgetter
-import numpy as np
+from typing import TYPE_CHECKING
 
-from . import eigensolver, spectra
+from . import spectra
 from .contours import WindingContour, sample_path
-from .eigensolver import DegenerateEigenvaluesError, ShiftCollisionError
 from .spectra import SpectrumTable
+
+if TYPE_CHECKING:
+    from .eigensolver import EigenResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -249,6 +255,30 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _log_grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
+    """count points from lo to hi, evenly spaced in log10 as np.logspace
+    spaces them: numpy's linspace exponents, y_i = i*step + a with the last
+    one b, for a, b = log10(lo), log10(hi), each raised as 10.0 ** y_i.
+    libm's pow gives the same bits on every CPU; numpy's power does not."""
+    if count < 1:
+        raise ValueError(f"{flag} must be at least 1, got {count}")
+    a, b = math.log10(lo), math.log10(hi)
+    if count == 1:
+        return [10.0 ** a]
+    try:
+        top = 10.0 ** b
+    except OverflowError:  # hi within rounding of the largest float
+        raise ValueError(f"10**log10({hi!r}) overflows") from None
+    try:
+        grid = [top] * count  # one allocation: a count too large fails here, at once
+    except OverflowError:  # count above sys.maxsize
+        raise MemoryError(f"{flag} {count} is too large") from None
+    step = (b - a) / (count - 1)
+    for i in range(count - 1):
+        grid[i] = 10.0 ** (i * step + a)
+    return grid
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.which == "fig1":
         rows = [(winding, *row) for winding in (0, 1, 2)
@@ -257,19 +287,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
     elif args.which == "fig2":
         if not (0 < args.rho_min < args.rho_max <= 1e-2):
             raise ValueError("need 0 < rho-min < rho-max <= 1e-2")
-        rhos = np.logspace(math.log10(args.rho_min), math.log10(args.rho_max),
-                           args.rho_points)
+        rhos = _log_grid(args.rho_min, args.rho_max, args.rho_points, "--rho-points")
+        ells = [1.0 / math.sqrt(rho) - 0.5 for rho in rhos]
         rows = [(rho, winding, n, spectra.rescaled_level(winding, ell, n))
-                for rho, ell in zip(rhos.tolist(), (1.0 / np.sqrt(rhos) - 0.5).tolist())
-                for winding in range(4) for n in range(5)]
+                for rho, ell in zip(rhos, ells) for winding in range(4) for n in range(5)]
         header = ("rho", "N", "n", "F")
     else:
         if not (0 < args.ell_min < args.ell_max < math.inf):
             raise ValueError("need 0 < ell-min < ell-max < inf")
-        ells = np.logspace(math.log10(args.ell_min), math.log10(args.ell_max),
-                           args.ell_points)
+        ells = _log_grid(args.ell_min, args.ell_max, args.ell_points, "--ell-points")
         rows = [(ell, winding, spectra.gap(winding, ell) / ell ** 0.2)
-                for ell in ells.tolist() for winding in range(4)]
+                for ell in ells for winding in range(4)]
         header = ("ell", "N", "G_scaled")
     _write_table(args, header, rows)
     return EXIT_OK
@@ -278,6 +306,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Solve one target and write the report every target shares: problem,
     grid, one record per level, the target's extras and the verdict."""
+    from . import eigensolver  # here, not at the top: it loads numpy
+
     target, *defaults = VERIFY_TARGETS[args.target]
     ell, count = (default if value is None else value
                   for default, value in zip(defaults, (args.ell, args.levels)))
@@ -301,7 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def _level_record(n: int, result: eigensolver.EigenResult, closed: float,
+def _level_record(n: int, result: EigenResult, closed: float,
                   tolerance: float, seed: float | None = None) -> dict:
     """One level of a verify report; the seed defaults to the closed form."""
     value = result.eigenvalue
@@ -315,6 +345,8 @@ def _level_record(n: int, result: eigensolver.EigenResult, closed: float,
 
 
 def _verify_ho(args: argparse.Namespace, ell: float, count: int, solve):
+    from . import eigensolver
+
     omega = args.omega
     exact = [spectra.energy_ho_exact(ell, omega, n) for n in range(count)]
     approx = [spectra.energy_ho_approx(ell, omega, n) for n in range(count)]
@@ -342,6 +374,8 @@ def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int
     l = 25 (on --points, a resolution in oscillator lengths, but not on the
     lengths --half-width and --eps).  For N >= 1 the report adds each
     level's distance to the paper's winding formula energy_toboggan."""
+    from . import eigensolver
+
     if not ell > CUBIC_CALIBRATION_ELL:
         raise ValueError(
             f"{args.target} verification needs ell > {CUBIC_CALIBRATION_ELL:g} "
@@ -376,6 +410,15 @@ VERIFY_TARGETS = {"ho": (_verify_ho, 10.0, 3),
                   "toboggan1": (partial(_verify_cubic, 1), 50.0, 2)}
 
 
+def _verification_errors() -> tuple[type[Exception], ...]:
+    """The solver's ShiftCollisionError and DegenerateEigenvaluesError, or
+    none before a command has loaded the solver, which alone raises them."""
+    solver = sys.modules.get(f"{__package__}.eigensolver")
+    if solver is None:
+        return ()
+    return solver.ShiftCollisionError, solver.DegenerateEigenvaluesError
+
+
 _parser: _Parser | None = None  # built by the first main() call
 
 
@@ -400,7 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"toboggan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ShiftCollisionError, DegenerateEigenvaluesError) as exc:
+    except MemoryError as exc:  # a table too large to build
+        print("toboggan: error: out of memory", *exc.args, sep=": ", file=sys.stderr)
+        return EXIT_USAGE
+    except _verification_errors() as exc:
         print(f"toboggan: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

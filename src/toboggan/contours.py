@@ -4,17 +4,20 @@ The contour with winding number N is the image of the straight line
 s - i*shift under w -> -i*(i*w)**(2N+1).  The odd power is evaluated as an
 exact integer power, so the parametrization is single valued and N = 0
 reduces to the straight line itself.  The path functions take s as a
-scalar or as a numpy array.
+scalar or as a numpy array.  Only sample_path imports numpy, so the
+closed-form commands, which import this module, never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .util import ipow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ def sample_path(contour: WindingContour, s_min: float, s_max: float,
     The first point sits at s_min and the last at s_max.  A point that
     overflows comes out as inf or nan, without a numpy warning.
     """
+    import numpy as np
+
     if count < 2:
         raise ValueError("count must be at least 2")
     if not (math.isfinite(s_min) and math.isfinite(s_max)):

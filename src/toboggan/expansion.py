@@ -9,12 +9,11 @@ module; they serve only as an independent cross-check in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .potentials import HOSpec, SingularPointError
 from .rectify import RectifiedProblem, angular_map, build_rectified
@@ -123,7 +122,7 @@ def stationary_points(problem: RectifiedProblem) -> StationaryFamily:
     n = problem.winding_number
     count = 10 * n + 5
     tau = tau_general(n, problem.ell)
-    step = np.exp(2j * np.pi / count)
+    step = cmath.exp(2j * cmath.pi / count)
     roots = [complex(-1j * tau)]
     for _ in range(count - 1):
         roots.append(roots[-1] * step)

@@ -9,9 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .util import ipow
+from .util import has_zero, ipow
 
 
 class SingularPointError(ValueError):
@@ -39,14 +37,14 @@ def v_eff_cubic(z, ell: float):
 
     Accepts a complex scalar or a numpy array.
     """
-    if np.any(z == 0):
+    if has_zero(z):
         raise SingularPointError("potential is singular at z = 0")
     return ell * (ell + 1.0) / (z * z) + 1j * ipow(z, 3)
 
 
 def v_eff_ho(q, spec: HOSpec):
     """Oscillator potential l(l+1)/q**2 + omega**2 q**2 (scalar or array)."""
-    if np.any(q == 0):
+    if has_zero(q):
         raise SingularPointError("potential is singular at q = 0")
     ell, omega = spec.angular, spec.frequency
     return ell * (ell + 1.0) / (q * q) + omega * omega * q * q

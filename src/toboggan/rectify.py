@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .potentials import SingularPointError
-from .util import ipow
+from .util import has_zero, ipow
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def weight(problem: RectifiedProblem, y):
 
 def rectified_potential(problem: RectifiedProblem, y):
     """L(L+1)/y**2 + i(-1)**N (2N+1)**2 y**(10N+3) at a point or array y."""
-    if np.any(y == 0):
+    if has_zero(y):
         raise SingularPointError("rectified potential is singular at y = 0")
     return (problem.centrifugal_strength / (y * y)
             + problem.potential_coefficient * ipow(y, problem.potential_exponent))

@@ -27,6 +27,14 @@ def ipow(z, k: int):
     return result
 
 
+def has_zero(z) -> bool:
+    """Whether z, a number or a numpy array, is zero or holds a zero.
+
+    Reads the array's own `any`, so this module never imports numpy.
+    """
+    return bool((z == 0).any()) if hasattr(z, "any") else z == 0
+
+
 def zpow(z, k: int):
     """z**k for any integer k; negative k through one final division."""
     k = int(k)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toboggan
 from toboggan import cli
@@ -511,12 +514,60 @@ def test_spectrum_json(capsys):
             == (entry.energy, entry.rescaled, entry.gap)
 
 
-def test_figure_empty_tables(capsys):
-    code, out, _ = run(capsys, "figure", "fig2", "--rho-points", "0")
-    assert (code, out) == (0, "rho,N,n,F\n")
-    code, out, _ = run(capsys, "figure", "fig3", "--ell-points", "0",
-                       "--format", "json")
-    assert (code, out) == (0, "[]\n")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("which, flag", [("fig2", "--rho-points"),
+                                         ("fig3", "--ell-points")])
+def test_figure_point_count_below_one_is_rejected(capsys, which, flag, count, fmt):
+    code, out, err = run(capsys, "figure", which, flag, count, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"toboggan: error: {flag} must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    ((), "toboggan: error: out of memory\n"),
+    (("--rho-points 100000000000",),
+     "toboggan: error: out of memory: --rho-points 100000000000\n"),
+])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, message, line):
+    # The grid builder stands in for an allocation that fails: a test must
+    # never really ask for the memory.
+    def exhausted(*args):
+        raise MemoryError(*message)
+
+    monkeypatch.setattr(cli, "_log_grid", exhausted)
+    code, out, err = run(capsys, "figure", "fig2", "--rho-points", "100000000000")
+    assert (code, out, err) == (1, "", line)
+
+
+def test_grid_count_beyond_any_list_is_a_memory_error():
+    # Above sys.maxsize the list cannot even be asked for, so nothing is allocated.
+    with pytest.raises(MemoryError, match="--ell-points"):
+        cli._log_grid(1.0, 10.0, sys.maxsize + 1, "--ell-points")
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64)
+
+
+# fig2 takes rho in (0, 1e-2] and fig3 l in (0, inf); the closed forms give up
+# long before 1e300.
+GRID_ENDS = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(GRID_ENDS, GRID_ENDS).filter(lambda ends: ends[0] != ends[1]),
+       st.integers(min_value=1, max_value=3000))
+def test_log_grid_is_numpy_linspace_raised_by_libm(ends, count):
+    lo, hi = sorted(ends)
+    grid = cli._log_grid(lo, hi, count, "--count")
+    a, b = math.log10(lo), math.log10(hi)
+    expected = [math.pow(10.0, y) for y in np.linspace(a, b, count).tolist()]
+    assert _bits(grid).tolist() == _bits(expected).tolist()
+    assert np.abs(_bits(grid) - _bits(np.logspace(a, b, count))).max() <= 1
+    assert grid[0] == 10.0 ** a
+    if count > 1:
+        assert grid[-1] == 10.0 ** b
 
 
 @pytest.mark.parametrize("argv", [
@@ -548,6 +599,8 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     (("spectrum", "--ell", "1e308"), "l = 1e+308 is too large"),
     (("spectrum", "--ell", "1e200"), "l = 1e+200 is too large"),
     (("figure", "fig3", "--ell-max", "1e300"), "is too large"),
+    (("figure", "fig3", "--ell-max", "1.7976931348623157e308"),
+     "10**log10(1.7976931348623157e+308) overflows"),
     (("figure", "fig2", "--rho-min", "1e-320"), "(l + 1/2)**2 overflows"),
     (("verify", "ho", "--ell", "inf"), "l must be finite"),
     (("verify", "ho", "--ell", "nan"), "l must be finite"),
@@ -576,7 +629,8 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
      "column re is not finite in row 2 of 3"),
 ], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
         "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
-        "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig2-rho-min-1e-320",
+        "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig3-ell-max-largest-float",
+        "fig2-rho-min-1e-320",
         "verify-ho-ell-inf", "verify-ho-ell-nan", "verify-ho-omega-inf",
         "verify-ho-points-2", "verify-ho-half-width-inf", "verify-ho-eps-inf",
         "verify-cubic0-tol-nan", "verify-ho-tol-negative",
@@ -605,25 +659,43 @@ def test_grid_that_overflows_the_potential_is_named(capsys, argv, grid):
     assert grid in err and "points = " in err
 
 
+# Runs one command, or imports low_lying, in a fresh interpreter and prints
+# the exit code (or low_lying's module) and whether numpy and scipy were
+# loaded after `import toboggan`, after `import toboggan.cli` and at the end.
+IMPORT_PROBE = textwrap.dedent("""
+    import json, os, sys
+    def loaded():
+        return ["numpy" in sys.modules, "scipy" in sys.modules]
+    import toboggan
+    seen = [loaded()]
+    if sys.argv[1:] == ["low_lying"]:
+        from toboggan import low_lying
+        result = low_lying.__module__
+    else:
+        import toboggan.cli
+        seen.append(loaded())
+        result = toboggan.cli.main(sys.argv[1:] + ["--output", os.devnull])
+    print(json.dumps([result, *seen, loaded()]))
+    """)
+
+
 def test_closed_form_commands_never_load_scipy():
-    # A fresh interpreter, so that no earlier test has imported scipy.
-    script = textwrap.dedent("""
-        import json, os, sys
-        import toboggan, toboggan.cli
-        commands = [["contour", "--count", "3"], ["spectrum", "--ell", "4"],
-                    ["figure", "fig1", "--count", "3"],
-                    ["figure", "fig2", "--rho-points", "2"],
-                    ["figure", "fig3", "--ell-points", "2"], ["verify", "ho"]]
-        seen = []
-        for argv in commands:
-            code = toboggan.cli.main(argv + ["--output", os.devnull])
-            seen.append([argv[0], code, "scipy" in sys.modules])
-        print(json.dumps(seen))
-        """)
+    # Fresh interpreters, so that no earlier test has imported numpy or scipy.
+    # Only the solver (verify, low_lying) loads numpy at import and scipy when
+    # it factorizes; contours load numpy to sample, the closed forms never.
     src = str(Path(toboggan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                          capture_output=True, text=True)
-    assert json.loads(done.stdout) == [
-        ["contour", 0, False], ["spectrum", 0, False], ["figure", 0, False],
-        ["figure", 0, False], ["figure", 0, False], ["verify", 0, True]]
+    nothing, numpy_only, both = [False, False], [True, False], [True, True]
+    cases = [(["spectrum", "--ell", "4"], nothing),
+             (["figure", "fig2", "--rho-points", "2"], nothing),
+             (["figure", "fig3", "--ell-points", "2"], nothing),
+             (["contour", "--count", "3"], numpy_only),
+             (["figure", "fig1", "--count", "3"], numpy_only),
+             (["verify", "ho"], both)]
+    for argv, after in cases:
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                              check=True, capture_output=True, text=True)
+        assert json.loads(done.stdout) == [0, nothing, nothing, after], argv
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "low_lying"], env=env,
+                          check=True, capture_output=True, text=True)
+    assert json.loads(done.stdout) == ["toboggan.eigensolver", nothing, numpy_only]

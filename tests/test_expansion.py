@@ -87,6 +87,20 @@ def test_stationary_points_polygon(winding, ell):
         assert abs(_derivative(terms, root)) < 1e-10 * curvature * family.tau
 
 
+@pytest.mark.parametrize("winding", range(20))
+def test_stationary_points_equal_numpy_polygon_bit_for_bit(winding):
+    # The step is cmath.exp(2 pi i/(10N+5)); the polygon it spans must be the
+    # one numpy's exp gives, to the last bit of every root.
+    problem = build_rectified(winding, 37.5)
+    family = stationary_points(problem)
+    step = np.exp(2j * np.pi / (10 * winding + 5))
+    expected = [complex(0.0, -family.tau)]
+    for _ in family.roots[1:]:
+        expected.append(complex(expected[-1] * step))
+    assert [(z.real, z.imag) for z in family.roots] \
+        == [(z.real, z.imag) for z in expected]
+
+
 def test_stationary_points_ho():
     spec = HOSpec(angular=1.0, frequency=2.0)
     family = stationary_points_ho(spec)
