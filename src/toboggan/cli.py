@@ -40,7 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-CUBIC_CALIBRATION_ELL = 25.0
 CUBIC_SAFETY = 1.25
 HO_ENVELOPE = 1e-4
 
@@ -140,7 +139,7 @@ def _open_output(path: str | None):
 
 def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[tuple],
                  meta: dict | None = None, key: str | None = None) -> None:
-    """Write rows as CSV (the default) or, with --format json, as records.
+    """Write rows, at least one, as CSV (the default) or as --format json records.
 
     Cells are ints, floats and strs, a column keeping its first row's type;
     a nan or inf cell is an error, raised before anything is written.  Both
@@ -151,7 +150,7 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
     that list under `key` (a record leaves out any field the envelope already
     carries), in the text json.dump(..., indent=2) writes.
     """
-    for i, (name, cell) in enumerate(zip(header, rows[0] if rows else ())):
+    for i, (name, cell) in enumerate(zip(header, rows[0])):
         # A sum of finite floats can overflow, but nan and inf always show.
         if type(cell) is float and not math.isfinite(sum(map(itemgetter(i), rows))):
             for number, row in enumerate(rows, 1):
@@ -164,10 +163,9 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
     float_cell = f"%.{_digits()}g"
     with _open_output(args.output) as out:
         out.write(",".join(header) + "\n")
-        if rows:
-            line = ",".join("%s" if isinstance(cell, (int, str)) else float_cell
-                            for cell in rows[0]) + "\n"
-            out.writelines(line % row for row in rows)
+        line = ",".join("%s" if isinstance(cell, (int, str)) else float_cell
+                        for cell in rows[0]) + "\n"
+        out.writelines(line % row for row in rows)
 
 
 def _write_records(args: argparse.Namespace, header: tuple[str, ...],
@@ -177,9 +175,6 @@ def _write_records(args: argparse.Namespace, header: tuple[str, ...],
     text json writes for it; strings are encoded by json."""
     document = json.dumps({**meta, key: []} if key else [], indent=2)
     with _open_output(args.output) as out:
-        if not rows:
-            out.write(document + "\n")
-            return
         cut = document.rindex("[]") + 1
         indent = "  " if key else ""  # of the list; a record sits one level in
         pad = indent + "  "
@@ -321,7 +316,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # problem: the fields after "target"; body: "levels" and the target's
     # extras in report order; ok: the target's condition beside every level.
-    problem, disc, body, ok = target(args, ell, count, solve)
+    try:
+        problem, disc, body, ok = target(args, ell, count, solve)
+    except (eigensolver.ShiftCollisionError, eigensolver.DegenerateEigenvaluesError) as exc:
+        print(f"toboggan: verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     passed = all(level["pass"] for level in body["levels"]) and ok
     with _open_output(args.output) as out:
         print(json.dumps({"problem": {"target": args.target, **problem},
@@ -369,32 +368,20 @@ def _verify_ho(args: argparse.Namespace, ell: float, count: int, solve):
 
 def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int,
                   solve):
-    """Levels of the N-winding problem against the N = 0 closed forms, in
-    the envelope C*tau^(-3/4) calibrated per level on the same problem at
-    l = 25 (on --points, a resolution in oscillator lengths, but not on the
-    lengths --half-width and --eps).  For N >= 1 the report adds each
-    level's distance to the paper's winding formula energy_toboggan."""
+    """Levels of the N-winding problem against the N = 0 closed forms, each
+    within CUBIC_SAFETY times its predicted error: energy_cubic_correction
+    plus the grid's truncation_errors (the margin covers higher orders, 4 %
+    at l = 26).  For N >= 1 the report adds each level's distance to the
+    paper's winding formula energy_toboggan."""
     from . import eigensolver
 
-    if not ell > CUBIC_CALIBRATION_ELL:
-        raise ValueError(
-            f"{args.target} verification needs ell > {CUBIC_CALIBRATION_ELL:g} "
-            "(the calibration point)")
-    calib_results = eigensolver.low_lying("cubic_toboggan", CUBIC_CALIBRATION_ELL,
-                                          count, winding=winding, tol=args.tol,
-                                          points=args.points)
-    calib_scale = spectra.energy_error_scale(0, CUBIC_CALIBRATION_ELL)
-    constants = [abs(r.eigenvalue.real - spectra.energy_cubic(CUBIC_CALIBRATION_ELL, n))
-                 / calib_scale for n, r in enumerate(calib_results)]
-
     results, disc = solve("cubic_toboggan", ell, count, winding=winding)
-    scale = spectra.energy_error_scale(0, ell)
-    records = [_level_record(n, results[n], spectra.energy_cubic(ell, n),
-                             CUBIC_SAFETY * constants[n] * scale)
-               for n in range(count)]
-    calibration = {"ell": CUBIC_CALIBRATION_ELL, "constants": constants,
-                   "safety": CUBIC_SAFETY}
-    body = {"calibration": calibration, "levels": records}
+    grid_errors = eigensolver.truncation_errors("cubic_toboggan", ell, disc.step,
+                                                count, winding=winding)
+    records = [_level_record(n, r, spectra.energy_cubic(ell, n), CUBIC_SAFETY
+                             * abs(spectra.energy_cubic_correction(ell, n) + g))
+               for n, (r, g) in enumerate(zip(results, grid_errors))]
+    body = {"levels": records}
     if winding:
         paper = [spectra.energy_toboggan(winding, ell, n) for n in range(count)]
         body["paper_closed_form"] = paper
@@ -408,15 +395,6 @@ def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int
 VERIFY_TARGETS = {"ho": (_verify_ho, 10.0, 3),
                   "cubic0": (partial(_verify_cubic, 0), 50.0, 2),
                   "toboggan1": (partial(_verify_cubic, 1), 50.0, 2)}
-
-
-def _verification_errors() -> tuple[type[Exception], ...]:
-    """The solver's ShiftCollisionError and DegenerateEigenvaluesError, or
-    none before a command has loaded the solver, which alone raises them."""
-    solver = sys.modules.get(f"{__package__}.eigensolver")
-    if solver is None:
-        return ()
-    return solver.ShiftCollisionError, solver.DegenerateEigenvaluesError
 
 
 _parser: _Parser | None = None  # built by the first main() call
@@ -446,9 +424,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # a table too large to build
         print("toboggan: error: out of memory", *exc.args, sep=": ", file=sys.stderr)
         return EXIT_USAGE
-    except _verification_errors() as exc:
-        print(f"toboggan: verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

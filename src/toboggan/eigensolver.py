@@ -231,6 +231,16 @@ def auto_discretization(harmonic: float, shift_eps: float,
     return Discretization(15.0 * harmonic ** -0.25, points, shift_eps)
 
 
+def truncation_errors(model: str, ell: float, step: float, count: int, *,
+                      winding: int = 0, omega: float = 1.0) -> list[float]:
+    """Leading 3-point error of levels n < count at step h: the symbol
+    k**2 - k**4 h**2/12 moves level n of p**2 + w**2 x**2 by -h**2 <p**4>/12
+    = -(h w)**2 (6n**2+6n+3)/48, with w**2 = sqrt(harmonic) * gap/2."""
+    problem = _problem(model, ell, winding, omega)
+    scale = step * step * math.sqrt(problem.harmonic.real) / 48.0 * (problem.gap / 2.0)
+    return [-scale * (6 * n * n + 6 * n + 3) for n in range(count)]
+
+
 @dataclass(frozen=True)
 class _Problem:
     """One oracle problem: evaluators on the grid, the line shift that puts
@@ -324,6 +334,9 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
             raise ValueError("need one seed per requested level")
     else:
         seed_values = [complex(problem.seed(n)) for n in range(count)]
+        if any(_too_close(a, b, tol) for a, b in zip(seed_values, seed_values[1:])):
+            raise ValueError(f"l = {ell:g} is out of regime: tol = {tol:g} cannot "
+                             "tell the closed-form levels apart")
 
     disc = _grid(problem, points, half_width, eps)
     system = build_tridiagonal(problem.potential, disc, problem.weight)
@@ -361,8 +374,11 @@ def _duplicate_index(results: Sequence[EigenResult], value: complex,
     closer than 1e-3 of the closed-form gap: the true ladder is spaced by
     about one gap, so two levels that close are one eigenvalue found twice."""
     for i, r in enumerate(results):
-        separation = abs(r.eigenvalue - value)
-        if (separation <= 10.0 * tol * max(1.0, abs(r.eigenvalue), abs(value))
-                or separation < 1e-3 * closed_gap):
+        if (_too_close(r.eigenvalue, value, tol)
+                or abs(r.eigenvalue - value) < 1e-3 * closed_gap):
             return i
     return None
+
+
+def _too_close(a: complex, b: complex, tol: float) -> bool:
+    return abs(a - b) <= 10.0 * tol * max(1.0, abs(a), abs(b))

@@ -17,8 +17,8 @@ def energy_toboggan(winding_number: int, ell: float, n: int) -> float:
         E = -(10N+5)/2 * tau**(6N+3)
             + (2n+1)/(2N+1) * sqrt((10N+3)(10N+5)/2) * tau**(N+1/2),
 
-    with tau = tau_general(N, l).  Asymptotic in l; the first neglected
-    correction scales like tau**(-(6N+3)/4) (see energy_error_scale).  For
+    with tau = tau_general(N, l).  Asymptotic in l; at N = 0 the first
+    neglected term is energy_cubic_correction, not energy_error_scale.  For
     N >= 1 the finite-difference oracle finds the N = 0 levels energy_cubic
     instead (see expansion.weight_correction_exponent).
     """
@@ -39,6 +39,14 @@ def energy_cubic(ell: float, n: int) -> float:
     Delegates to energy_toboggan(0, ...) so the two agree bit for bit.
     """
     return energy_toboggan(0, ell, n)
+
+
+def energy_cubic_correction(ell: float, n: int) -> float:
+    """energy_cubic's next term, -(6n**2 + 6n + 4) / (9 tau**2): second order
+    in the well's cubic Taylor coefficient -5i plus first order in its quartic
+    -15/(2 tau) (cf. Bender and Wu, Phys. Rev. 184 (1969) 1231)."""
+    tau = tau_general(0, ell)
+    return -(6 * n * n + 6 * n + 4) / (9.0 * tau * tau)
 
 
 def density_parameter(ell: float) -> float:
@@ -91,7 +99,8 @@ def gap_constant(winding_number: float) -> float:
 
 
 def energy_error_scale(winding_number: int, ell: float) -> float:
-    """Size tau**(-(6N+3)/4) of the first neglected closed-form correction."""
+    """tau**(-(6N+3)/4), the paper's claim for energy_toboggan's first
+    neglected term; measured at N = 0 it is tau**-2 (energy_cubic_correction)."""
     big_n = int(winding_number)
     return tau_general(big_n, ell) ** (-(6 * big_n + 3) / 4.0)
 

@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toboggan
-from toboggan import cli
+from toboggan import cli, eigensolver
 from toboggan.cli import main
 from toboggan.contours import WindingContour, sample_path, winding_path
-from toboggan.eigensolver import blocked_vdot
+from toboggan.eigensolver import blocked_vdot, truncation_errors
 from toboggan.spectra import (
     SpectrumTable,
     energy_cubic,
+    energy_cubic_correction,
     energy_toboggan,
     gap_constant,
     rescaled_level_limit,
@@ -190,15 +191,48 @@ def test_verify_cubic0_passes(capsys, tmp_path):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
-    assert report["calibration"]["ell"] == 25.0
-    for level in report["levels"]:
+    assert "calibration" not in report
+    # 1.25 times the predicted error: the series' second-order term plus the
+    # grid's truncation on the step solved on.
+    grid_errors = truncation_errors("cubic_toboggan", 50.0, report["grid"]["step"], 2)
+    for n, level in enumerate(report["levels"]):
         assert level["abs_diff"] <= level["tolerance"]
+        assert level["tolerance"] == 1.25 * abs(energy_cubic_correction(50.0, n)
+                                                + grid_errors[n])
 
 
-def test_verify_cubic0_rejects_small_ell(capsys):
-    code, _, err = run(capsys, "verify", "cubic0", "--ell", "20")
-    assert code == 1
-    assert "calibration" in err
+@pytest.mark.parametrize("target", ["cubic0", "toboggan1"])
+def test_verify_winding_targets_pass_below_l_25(capsys, target):
+    # No calibration point bounds l from below.
+    code, out, _ = run(capsys, "verify", target, "--ell", "10")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("target", ["cubic0", "toboggan1"])
+def test_verify_winding_targets_solve_once(capsys, monkeypatch, target):
+    calls = []
+    solve = eigensolver.low_lying
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "low_lying", counted)
+    code, _, _ = run(capsys, "verify", target)
+    assert code == 0
+    assert calls == [("cubic_toboggan", 50.0, 2)]
+
+
+@pytest.mark.parametrize("error", ["ShiftCollisionError", "DegenerateEigenvaluesError"])
+def test_solver_failure_is_a_verification_failure(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise getattr(eigensolver, error)("seeds collided")
+
+    monkeypatch.setattr(eigensolver, "low_lying", fail)
+    for target in ("ho", "cubic0"):
+        assert run(capsys, "verify", target) == (
+            2, "", "toboggan: verification failed: seeds collided\n")
 
 
 def test_verify_toboggan1(capsys, tmp_path):
@@ -208,22 +242,19 @@ def test_verify_toboggan1(capsys, tmp_path):
     report = json.loads(report_path.read_text())
     assert "experimental" not in report
     assert report["passed"] is True
-    assert report["calibration"]["ell"] == 25.0
+    assert "calibration" not in report
     for n, level in enumerate(report["levels"]):
         assert level["converged"] and level["iterations"] <= 10
         assert level["closed_form"] == energy_cubic(50.0, n)
         assert level["abs_diff"] <= level["tolerance"]
         assert report["paper_closed_form"][n] == energy_toboggan(1, 50.0, n)
         assert report["paper_abs_diff"][n] > level["tolerance"]
-    code, _, err = run(capsys, "verify", "toboggan1", "--ell", "25")
-    assert code == 1
-    assert "toboggan1 verification needs ell > 25" in err
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("ell", ["28", "30", "116.5", "200", "1e4"])
 def test_verify_toboggan1_tells_the_models_apart(capsys, ell):
-    # Every level sits in the calibrated envelope around the N = 0 closed
+    # Every level sits in the predicted envelope around the N = 0 closed
     # form, and outside it around the paper's winding formula.
     code, out, _ = run(capsys, "verify", "toboggan1", "--ell", ell)
     assert code == 0
@@ -253,7 +284,7 @@ def test_verify_ho_envelope_on_its_automatic_grid_is_exact(capsys):
 def test_verify_grid_override_leaves_the_calibration_alone(capsys, target,
                                                            flag, key):
     # Restating the automatic grid's own eps or half-width changes nothing:
-    # those lengths are meant for the requested l, not the l = 25 calibration.
+    # the report and its tolerance depend only on the grid solved on.
     code, bare, _ = run(capsys, "verify", target, "--ell", "1000")
     assert code == 0
     value = repr(json.loads(bare)["grid"][key])
@@ -620,6 +651,18 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     (("verify", "cubic0", "--half-width", "1e300"), "half_width = 1e+300 is too large"),
     (("verify", "ho", "--eps", "1e-300"), "potential is not finite on the grid"),
     (("verify", "toboggan1", "--half-width", "1e60"), "potential is not finite on the grid"),
+    (("verify", "cubic0", "--ell", "1e12"), "l = 1e+12 is out of regime"),
+    (("verify", "cubic0", "--ell", "1e16"), "l = 1e+16 is out of regime"),
+    (("verify", "cubic0", "--ell", "1e20"), "l = 1e+20 is out of regime"),
+    (("verify", "cubic0", "--ell", "1e30"), "l = 1e+30 is out of regime"),
+    (("verify", "cubic0", "--ell", "nan"), "got L = nan"),
+    (("verify", "cubic0", "--ell", "inf"), "l must be finite"),
+    (("verify", "cubic0", "--ell", "-3"), "l must be finite"),
+    (("verify", "cubic0", "--ell", "0"), "need L(L+1) > 0"),
+    (("verify", "toboggan1", "--ell", "nan"), "got L = nan"),
+    (("verify", "toboggan1", "--ell", "inf"), "l must be finite"),
+    (("verify", "toboggan1", "--ell", "-3"), "l must be finite"),
+    (("verify", "toboggan1", "--ell", "0"), "need L(L+1) > 0"),
     (("contour", "--N", "1000", "--count", "3"), "column re is not finite in row 1 of 3"),
     (("contour", "--N", "1000", "--count", "3", "--format", "json"),
      "column re is not finite in row 1 of 3"),
@@ -638,6 +681,10 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
         "verify-ho-half-width-1e-170", "verify-ho-tol-1e300", "verify-ho-tol-1",
         "verify-ho-half-width-1e300", "verify-cubic0-half-width-1e300",
         "verify-ho-eps-1e-300", "verify-toboggan1-half-width-1e60",
+        "verify-cubic0-ell-1e12", "verify-cubic0-ell-1e16", "verify-cubic0-ell-1e20",
+        "verify-cubic0-ell-1e30", "verify-cubic0-ell-nan", "verify-cubic0-ell-inf",
+        "verify-cubic0-ell-negative", "verify-cubic0-ell-0", "verify-toboggan1-ell-nan",
+        "verify-toboggan1-ell-inf", "verify-toboggan1-ell-negative", "verify-toboggan1-ell-0",
         "contour-N-1000", "contour-N-1000-json", "contour-s-max-1e100",
         "contour-s-max-1e100-json"])
 def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):

@@ -16,11 +16,12 @@ from toboggan.eigensolver import (
     inverse_iteration,
     low_lying,
     resolved_discretization,
+    truncation_errors,
 )
 from toboggan.expansion import tau_general, tau_ho
 from toboggan.potentials import HOSpec
 from toboggan.rectify import build_rectified, rectified_potential, weight
-from toboggan.spectra import energy_ho_exact, gap
+from toboggan.spectra import energy_cubic, energy_cubic_correction, energy_ho_exact, gap
 
 
 def test_discretization_validation():
@@ -287,6 +288,39 @@ def test_winding_levels_are_the_zero_winding_levels(winding, ell):
     for r, ref in zip(results, reference):
         assert r.converged and r.iterations <= 10
         assert abs(r.eigenvalue - ref.eigenvalue) <= 1e-5 * abs(ref.eigenvalue)
+
+
+@pytest.mark.parametrize("points", [601, 2401])
+@pytest.mark.parametrize("winding", [0, 1])
+@pytest.mark.parametrize("ell", [26.0, 100.0, 1e4])
+def test_oracle_error_is_the_predicted_error(ell, winding, points):
+    # The series' second-order term plus the 3-point scheme's leading
+    # truncation account for the oracle's whole error within 5 %.
+    results = low_lying("cubic_toboggan", ell, 4, winding=winding, points=points)
+    step = resolved_discretization("cubic_toboggan", ell, winding=winding,
+                                   points=points).step
+    grid_errors = truncation_errors("cubic_toboggan", ell, step, 4, winding=winding)
+    for n, (r, g) in enumerate(zip(results, grid_errors)):
+        predicted = energy_cubic_correction(ell, n) + g
+        assert 0.95 <= (r.eigenvalue.real - energy_cubic(ell, n)) / predicted <= 1.05
+
+
+def test_truncation_error_hand_value():
+    # The oscillator's well is -psi'' + 4 x**2 psi (w = 2, gap 4): level n
+    # moves by -(h w)**2 (6n**2 + 6n + 3)/48.
+    step = resolved_discretization("ho", 10.0).step
+    assert truncation_errors("ho", 10.0, step, 3) == pytest.approx(
+        [-(2 * step) ** 2 * k / 48 for k in (3, 15, 39)], rel=1e-14)
+
+
+@pytest.mark.parametrize("ell, tol", [(1e12, 1e-9), (1e30, 1e-9), (50.0, 1e-2)])
+def test_levels_closer_than_the_tolerance_are_rejected_before_solving(monkeypatch,
+                                                                      ell, tol):
+    # At l = 1e12 the gap is about 1.3e3 and 10*tol*|E| about 4.9e6; at l = 50
+    # and tol = 1e-2 they are 11.5 and 22.
+    monkeypatch.setattr(eigensolver, "build_tridiagonal", None)  # never reached
+    with pytest.raises(ValueError, match="cannot tell the closed-form levels apart"):
+        low_lying("cubic_toboggan", ell, 2, tol=tol)
 
 
 def test_low_lying_validation():

@@ -10,6 +10,7 @@ from toboggan.spectra import (
     SpectrumTable,
     density_parameter,
     energy_cubic,
+    energy_cubic_correction,
     energy_error_scale,
     energy_ho_approx,
     energy_ho_exact,
@@ -191,6 +192,14 @@ def test_energy_error_scale():
         tau = tau_general(winding, ell)
         assert energy_error_scale(winding, ell) == pytest.approx(
             tau ** (-(6 * winding + 3) / 4.0), rel=1e-14)
+
+
+def test_energy_cubic_correction_hand_values():
+    # -4/9, -16/9 and -40/9 over tau**2 for n = 0, 1, 2.
+    tau = tau_general(0, 1000.0)
+    for n, numerator in enumerate((4, 16, 40)):
+        assert energy_cubic_correction(1000.0, n) * tau ** 2 == pytest.approx(
+            -numerator / 9, rel=1e-14)
 
 
 def test_spectrum_table_structure():

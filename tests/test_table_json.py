@@ -28,7 +28,8 @@ def tables(draw):
     else an envelope whose meta may share names with the header."""
     header = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
     types = [draw(st.sampled_from(list(CELLS))) for _ in header]
-    rows = draw(st.lists(st.tuples(*(CELLS[kind] for kind in types)), max_size=6))
+    rows = draw(st.lists(st.tuples(*(CELLS[kind] for kind in types)),
+                         min_size=1, max_size=6))  # every command writes a row
     if not draw(st.booleans()):
         return tuple(header), rows, None, None
     # The envelope repeats at most all but one column, so a record keeps a field.
