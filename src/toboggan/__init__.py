@@ -58,7 +58,6 @@ _EIGENSOLVER_NAMES = frozenset((
     "EigenResult",
     "ShiftCollisionError",
     "TridiagonalSystem",
-    "auto_discretization",
     "build_tridiagonal",
     "inverse_iteration",
     "low_lying",

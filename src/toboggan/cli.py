@@ -306,13 +306,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     target, *defaults = VERIFY_TARGETS[args.target]
     ell, count = (default if value is None else value
                   for default, value in zip(defaults, (args.ell, args.levels)))
-    grid = {"points": args.points, "half_width": args.half_width, "eps": args.eps}
+    overrides = {"points": args.points, "half_width": args.half_width, "eps": args.eps}
 
     def solve(model: str, ell: float, count: int, **problem):
         """low_lying's levels, and the grid it solved them on."""
-        disc = eigensolver.resolved_discretization(model, ell, **problem, **grid)
-        return eigensolver.low_lying(model, ell, count, tol=args.tol, **problem,
-                                     **grid), disc
+        disc = eigensolver.resolved_discretization(model, ell, **problem, **overrides)
+        return eigensolver.low_lying(model, ell, count, tol=args.tol, grid=disc,
+                                     **problem), disc
 
     # problem: the fields after "target"; body: "levels" and the target's
     # extras in report order; ok: the target's condition beside every level.
@@ -361,9 +361,11 @@ def _verify_ho(args: argparse.Namespace, ell: float, count: int, solve):
     identity = omega * (x - math.sqrt(x * x - 1.0))
     identity_residual = max(abs((approx[n] - exact[n]) - identity)
                             for n in range(count))
+    # The residual is the rounding of levels of size omega*(2l+1).
+    rounding = 16 * sys.float_info.epsilon * max(1.0, *map(abs, approx + exact))
     return ({"model": "ho", "ell": ell, "omega": omega}, disc,
             {"levels": records, "approx_minus_exact": identity,
-             "identity_residual": identity_residual}, identity_residual <= 1e-12)
+             "identity_residual": identity_residual}, identity_residual <= rounding)
 
 
 def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int,

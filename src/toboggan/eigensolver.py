@@ -221,83 +221,68 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     return EigenResult(complex(lam), residual, max_iter, False)
 
 
-def auto_discretization(harmonic: float, shift_eps: float,
-                        points: int = 601) -> Discretization:
-    """Grid rule: with the local oscillator length sigma = harmonic**(-1/4),
-    exactly `points` points on [-15*sigma, 15*sigma]; the default 601 puts
-    the step at sigma/20."""
-    if not harmonic > 0:
-        raise ValueError("harmonic coefficient must be positive")
-    return Discretization(15.0 * harmonic ** -0.25, points, shift_eps)
-
-
 def truncation_errors(model: str, ell: float, step: float, count: int, *,
                       winding: int = 0, omega: float = 1.0) -> list[float]:
     """Leading 3-point error of levels n < count at step h: the symbol
     k**2 - k**4 h**2/12 moves level n of p**2 + w**2 x**2 by -h**2 <p**4>/12
     = -(h w)**2 (6n**2+6n+3)/48, with w**2 = sqrt(harmonic) * gap/2."""
     problem = _problem(model, ell, winding, omega)
-    scale = step * step * math.sqrt(problem.harmonic.real) / 48.0 * (problem.gap / 2.0)
+    scale = step * step * math.sqrt(problem.harmonic) / 48.0 * (problem.gap / 2.0)
     return [-scale * (6 * n * n + 6 * n + 3) for n in range(count)]
 
 
 @dataclass(frozen=True)
 class _Problem:
-    """One oracle problem: evaluators on the grid, the line shift that puts
-    the well at s = 0, the (real) harmonic Taylor coefficient there, the
-    closed-form level seeds and gap, and its automatic grid's point count."""
+    """One oracle problem: evaluators on the grid, the closed-form level
+    seeds and gap, the real harmonic Taylor coefficient at the well, and the
+    automatic grid low_lying solves on when handed none (rule in its
+    docstring)."""
 
     potential: Callable
     weight: Callable | None
-    shift: float
-    harmonic: complex
     seed: Callable[[int], float]
     gap: float
-    points: int
+    harmonic: float
+    grid: Discretization
 
 
 def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
     if model == "ho":
         spec = HOSpec(angular=ell, frequency=omega)
-        return _Problem(partial(v_eff_ho, spec=spec), None, tau_ho(spec),
-                        taylor_ho(spec).harmonic,
-                        lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega, 6001)
-    if model == "cubic_toboggan":
+        eps, harmonic, points = tau_ho(spec), taylor_ho(spec).harmonic.real, 6001
+        evaluators = (partial(v_eff_ho, spec=spec), None,
+                      lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega)
+    elif model == "cubic_toboggan":
         rectified = build_rectified(winding, ell)
         # z = -i(iy)**(2N+1) is an exact change of variables, so the well is
         # the preimage y = -i*eps of the N = 0 well z = -i*tau_0 and the
         # levels are the N = 0 levels.  There dz/dy = (2N+1) eps**(2N), whose
         # fourth power scales the N = 0 harmonic coefficient.
         odd = 2 * winding + 1
-        eps = tau_general(0, ell) ** (1.0 / odd)
+        eps, points = tau_general(0, ell) ** (1.0 / odd), 601
         harmonic = (taylor_rectified(build_rectified(0, ell)).harmonic
-                    * (odd * eps ** (odd - 1)) ** 4)
-        return _Problem(partial(rectified_potential, rectified),
-                        partial(weight, rectified), eps, harmonic,
-                        lambda n: energy_cubic(ell, n), gap(0, ell), 601)
-    raise ValueError(f"unknown model {model!r}")
-
-
-def _grid(problem: _Problem, points: int | None, half_width: float | None,
-          eps: float | None) -> Discretization:
-    """auto_discretization for the problem, each given override put in place."""
-    disc = auto_discretization(problem.harmonic.real, problem.shift, problem.points)
-    given = {"points": points, "half_width": half_width, "shift_eps": eps}
-    return replace(disc, **{k: v for k, v in given.items() if v is not None})
+                    * (odd * eps ** (odd - 1)) ** 4).real
+        evaluators = (partial(rectified_potential, rectified), partial(weight, rectified),
+                      lambda n: energy_cubic(ell, n), gap(0, ell))
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return _Problem(*evaluators, harmonic,
+                    Discretization(15.0 * harmonic ** -0.25, points, eps))
 
 
 def resolved_discretization(model: str, ell: float, *, winding: int = 0,
                             omega: float = 1.0, points: int | None = None,
                             half_width: float | None = None,
                             eps: float | None = None) -> Discretization:
-    """The grid low_lying solves on for the same arguments."""
-    return _grid(_problem(model, ell, winding, omega), points, half_width, eps)
+    """The problem's automatic grid (see low_lying) with each given override
+    put in place: the grid to hand to low_lying."""
+    grid = _problem(model, ell, winding, omega).grid
+    given = {"points": points, "half_width": half_width, "shift_eps": eps}
+    return replace(grid, **{k: v for k, v in given.items() if v is not None})
 
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
-              omega: float = 1.0, tol: float = 1e-9,
-              points: int | None = None, half_width: float | None = None,
-              eps: float | None = None,
+              omega: float = 1.0, tol: float = 1e-9, grid: Discretization | None = None,
               seeds: Sequence[complex] | None = None) -> list[EigenResult]:
     """Lowest `count` eigenvalues of a benchmark problem, sorted by real part.
 
@@ -308,20 +293,24 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         oscillator with centrifugal term (weight 1).
     ell, winding, omega :
         Problem parameters; winding and omega apply to their model only.
-    points, half_width, eps :
-        Grid overrides, each put in place of its auto_discretization value
-        when given.  That grid has half-width 15*sigma, sigma the oscillator
-        length at the well, and 601 points (step sigma/20) for the winding
-        problem or 6001 (step sigma/200) for the oscillator.  The shift
-        defaults to the well: eps = tau for the oscillator, and for the
-        winding problem eps = tau_0**(1/(2N+1)), the N = 0 well's preimage.
     tol :
         Relative tolerance of inverse_iteration, with 0 < tol < 1.
+    grid :
+        The grid to solve on; resolved_discretization builds one with
+        overrides.  By default the problem's automatic grid: half-width
+        15*sigma, sigma the oscillator length at the well, and 601 points
+        (step sigma/20) for the winding problem or 6001 (step sigma/200) for
+        the oscillator, on the line through the well: eps = tau for the
+        oscillator, and for the winding problem eps = tau_0**(1/(2N+1)), the
+        N = 0 well's preimage.
     seeds :
         Explicit shifts, replacing the closed-form level seeds (the N = 0
         levels energy_cubic for every winding number).
 
-    Two seeds that converge to one eigenvalue raise DegenerateEigenvaluesError.
+    Without explicit seeds, a ValueError says l is out of regime when tol
+    cannot tell the lowest closed-form level from one gap above it, whatever
+    the count.  Two seeds that converge to one eigenvalue raise
+    DegenerateEigenvaluesError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -334,12 +323,12 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
             raise ValueError("need one seed per requested level")
     else:
         seed_values = [complex(problem.seed(n)) for n in range(count)]
-        if any(_too_close(a, b, tol) for a, b in zip(seed_values, seed_values[1:])):
+        if _too_close(seed_values[0], seed_values[0] + problem.gap, tol):
             raise ValueError(f"l = {ell:g} is out of regime: tol = {tol:g} cannot "
                              "tell the closed-form levels apart")
 
-    disc = _grid(problem, points, half_width, eps)
-    system = build_tridiagonal(problem.potential, disc, problem.weight)
+    system = build_tridiagonal(problem.potential, problem.grid if grid is None else grid,
+                               problem.weight)
 
     results: list[EigenResult] = []
     for n in range(count):

@@ -70,7 +70,7 @@ def tau_general(winding_number: int, ell: float) -> float:
     # As a Python float, L(L+1) overflows to inf where a numpy scalar warns.
     big_l = float(angular_map(n, ell))
     strength = big_l * (big_l + 1.0)
-    if not strength > 0.0:
+    if math.isfinite(ell) and not strength > 0.0:  # a nan l is named below
         raise ValueError(f"need L(L+1) > 0, got L = {big_l:g}")
     if not (math.isfinite(ell) and ell >= 0):
         raise ValueError(f"l must be finite and non-negative, got l = {ell:g}")

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from conftest import fd_taylor, loglog_slope, rel_err
-from toboggan.eigensolver import low_lying
+from toboggan.eigensolver import low_lying, resolved_discretization
 from toboggan.expansion import (
     harmonic_frequency,
     power_terms,
@@ -42,7 +42,8 @@ def _report(criterion: int, passed: bool, detail: str) -> None:
 def test_criterion_1_ho_exactness():
     ell, omega, levels = 10.0, 1.0, 3
     start = time.perf_counter()
-    results = low_lying("ho", ell, levels, omega=omega, points=6001)
+    grid = resolved_discretization("ho", ell, omega=omega, points=6001)
+    results = low_lying("ho", ell, levels, omega=omega, grid=grid)
     elapsed = time.perf_counter() - start
 
     exact = [energy_ho_exact(ell, omega, n) for n in range(levels)]

@@ -293,6 +293,44 @@ def test_verify_grid_override_leaves_the_calibration_alone(capsys, target,
     assert out == bare
 
 
+def test_verify_reports_the_grid_it_solved_on(capsys, monkeypatch):
+    seen = []
+    assemble = eigensolver.build_tridiagonal
+
+    def recorded(potential, disc, weight_fn=None):
+        seen.append(disc)
+        return assemble(potential, disc, weight_fn)
+
+    monkeypatch.setattr(eigensolver, "build_tridiagonal", recorded)
+    code, out, _ = run(capsys, "verify", "toboggan1", "--ell", "300",
+                       "--points", "1201", "--half-width", "9")
+    assert code == 0
+    [disc] = seen
+    assert (disc.points, disc.half_width) == (1201, 9.0)
+    assert json.loads(out)["grid"] == {"half_width": disc.half_width, "points": disc.points,
+                                       "eps": disc.shift_eps, "step": disc.step}
+
+
+def test_verify_regime_rule_does_not_depend_on_the_level_count(capsys):
+    # Below and above the switch near l = 2.68e8, one level and two give one
+    # exit code.
+    for ell, expected in (("2.5e8", 0), ("3e8", 1)):
+        for levels in ("1", "2"):
+            code, _, _ = run(capsys, "verify", "cubic0", "--ell", ell, "--levels", levels)
+            assert code == expected, (ell, levels)
+
+
+def test_verify_ho_identity_is_held_to_its_rounding(capsys):
+    # The levels are about omega*(2l+1) = 4.3e3, so the identity's residual
+    # 1.08e-12 is 1.1 ulp of them: rounding, not a failure.
+    code, out, _ = run(capsys, "verify", "ho", "--ell", "8689.473324476914",
+                       "--omega", "0.2473159824799772", "--levels", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert 1e-12 < report["identity_residual"] <= 16 * sys.float_info.epsilon * 4.3e3
+
+
 def test_verify_has_no_format_option(capsys, tmp_path):
     # verify writes JSON only, so --format is a usage error; a config file's
     # "format" key still sets the table commands and leaves verify alone.
@@ -623,6 +661,7 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, fragment", [
     (("spectrum", "--ell", "inf"), "l must be finite"),
+    (("spectrum", "--ell", "nan"), "l must be finite"),
     (("spectrum", "--ell", "-3"), "l must be finite"),
     (("contour", "--eps", "inf"), "shift must be finite"),
     (("contour", "--s-max", "inf"), "s_max must be finite"),
@@ -652,14 +691,15 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     (("verify", "ho", "--eps", "1e-300"), "potential is not finite on the grid"),
     (("verify", "toboggan1", "--half-width", "1e60"), "potential is not finite on the grid"),
     (("verify", "cubic0", "--ell", "1e12"), "l = 1e+12 is out of regime"),
+    (("verify", "cubic0", "--ell", "1e12", "--levels", "1"), "l = 1e+12 is out of regime"),
     (("verify", "cubic0", "--ell", "1e16"), "l = 1e+16 is out of regime"),
     (("verify", "cubic0", "--ell", "1e20"), "l = 1e+20 is out of regime"),
     (("verify", "cubic0", "--ell", "1e30"), "l = 1e+30 is out of regime"),
-    (("verify", "cubic0", "--ell", "nan"), "got L = nan"),
+    (("verify", "cubic0", "--ell", "nan"), "l must be finite"),
     (("verify", "cubic0", "--ell", "inf"), "l must be finite"),
     (("verify", "cubic0", "--ell", "-3"), "l must be finite"),
     (("verify", "cubic0", "--ell", "0"), "need L(L+1) > 0"),
-    (("verify", "toboggan1", "--ell", "nan"), "got L = nan"),
+    (("verify", "toboggan1", "--ell", "nan"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "inf"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "-3"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "0"), "need L(L+1) > 0"),
@@ -670,7 +710,7 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
      "column re is not finite in row 2 of 3"),
     (("contour", "--N", "3", "--s-max", "1e100", "--count", "3", "--format", "json"),
      "column re is not finite in row 2 of 3"),
-], ids=["spectrum-ell-inf", "spectrum-ell-negative", "contour-eps-inf",
+], ids=["spectrum-ell-inf", "spectrum-ell-nan", "spectrum-ell-negative", "contour-eps-inf",
         "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
         "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig3-ell-max-largest-float",
         "fig2-rho-min-1e-320",
@@ -681,8 +721,9 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
         "verify-ho-half-width-1e-170", "verify-ho-tol-1e300", "verify-ho-tol-1",
         "verify-ho-half-width-1e300", "verify-cubic0-half-width-1e300",
         "verify-ho-eps-1e-300", "verify-toboggan1-half-width-1e60",
-        "verify-cubic0-ell-1e12", "verify-cubic0-ell-1e16", "verify-cubic0-ell-1e20",
-        "verify-cubic0-ell-1e30", "verify-cubic0-ell-nan", "verify-cubic0-ell-inf",
+        "verify-cubic0-ell-1e12", "verify-cubic0-ell-1e12-levels-1",
+        "verify-cubic0-ell-1e16", "verify-cubic0-ell-1e20", "verify-cubic0-ell-1e30",
+        "verify-cubic0-ell-nan", "verify-cubic0-ell-inf",
         "verify-cubic0-ell-negative", "verify-cubic0-ell-0", "verify-toboggan1-ell-nan",
         "verify-toboggan1-ell-inf", "verify-toboggan1-ell-negative", "verify-toboggan1-ell-0",
         "contour-N-1000", "contour-N-1000-json", "contour-s-max-1e100",

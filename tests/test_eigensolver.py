@@ -11,7 +11,6 @@ from toboggan.eigensolver import (
     Discretization,
     ShiftCollisionError,
     TridiagonalSystem,
-    auto_discretization,
     build_tridiagonal,
     inverse_iteration,
     low_lying,
@@ -235,14 +234,15 @@ def test_grid_convergence_is_second_order():
     exact = energy_ho_exact(10.0, 1.0, 0)
     errors = []
     for points in (1501, 3001):
-        results = low_lying("ho", 10.0, 1, points=points)
+        results = low_lying("ho", 10.0, 1,
+                            grid=resolved_discretization("ho", 10.0, points=points))
         errors.append(abs(results[0].eigenvalue.real - exact))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
 
 
 def test_low_lying_ho_levels():
-    results = low_lying("ho", 10.0, 3, points=2001)
+    results = low_lying("ho", 10.0, 3, grid=resolved_discretization("ho", 10.0, points=2001))
     reals = [r.eigenvalue.real for r in results]
     assert reals == sorted(reals)
     for n, r in enumerate(results):
@@ -273,7 +273,8 @@ def test_weighted_and_unweighted_paths_agree_at_zero_winding():
 
 def test_low_lying_user_seed_degeneracy_error():
     with pytest.raises(DegenerateEigenvaluesError):
-        low_lying("ho", 10.0, 2, points=601, seeds=[-18.98, -18.99])
+        low_lying("ho", 10.0, 2, grid=resolved_discretization("ho", 10.0, points=601),
+                  seeds=[-18.98, -18.99])
 
 
 @pytest.mark.filterwarnings("error")
@@ -296,10 +297,9 @@ def test_winding_levels_are_the_zero_winding_levels(winding, ell):
 def test_oracle_error_is_the_predicted_error(ell, winding, points):
     # The series' second-order term plus the 3-point scheme's leading
     # truncation account for the oracle's whole error within 5 %.
-    results = low_lying("cubic_toboggan", ell, 4, winding=winding, points=points)
-    step = resolved_discretization("cubic_toboggan", ell, winding=winding,
-                                   points=points).step
-    grid_errors = truncation_errors("cubic_toboggan", ell, step, 4, winding=winding)
+    grid = resolved_discretization("cubic_toboggan", ell, winding=winding, points=points)
+    results = low_lying("cubic_toboggan", ell, 4, winding=winding, grid=grid)
+    grid_errors = truncation_errors("cubic_toboggan", ell, grid.step, 4, winding=winding)
     for n, (r, g) in enumerate(zip(results, grid_errors)):
         predicted = energy_cubic_correction(ell, n) + g
         assert 0.95 <= (r.eigenvalue.real - energy_cubic(ell, n)) / predicted <= 1.05
@@ -313,14 +313,40 @@ def test_truncation_error_hand_value():
         [-(2 * step) ** 2 * k / 48 for k in (3, 15, 39)], rel=1e-14)
 
 
-@pytest.mark.parametrize("ell, tol", [(1e12, 1e-9), (1e30, 1e-9), (50.0, 1e-2)])
+@pytest.mark.parametrize("ell, tol", [(1e12, 1e-9), (1e30, 1e-9), (50.0, 1e-2),
+                                      (3e8, 1e-9)])
 def test_levels_closer_than_the_tolerance_are_rejected_before_solving(monkeypatch,
                                                                       ell, tol):
     # At l = 1e12 the gap is about 1.3e3 and 10*tol*|E| about 4.9e6; at l = 50
-    # and tol = 1e-2 they are 11.5 and 22.
+    # and tol = 1e-2 they are 11.5 and 22.  The lowest seed is compared with
+    # one gap above it, so one level is rejected where two are.
     monkeypatch.setattr(eigensolver, "build_tridiagonal", None)  # never reached
-    with pytest.raises(ValueError, match="cannot tell the closed-form levels apart"):
-        low_lying("cubic_toboggan", ell, 2, tol=tol)
+    for count in (1, 2):
+        with pytest.raises(ValueError, match="cannot tell the closed-form levels apart"):
+            low_lying("cubic_toboggan", ell, count, tol=tol)
+
+
+@pytest.mark.parametrize("model, ell, winding, grid", [
+    ("ho", 10.0, 0, Discretization(12.0, 801, 2.5)),
+    ("cubic_toboggan", 300.0, 1, None),
+])
+def test_low_lying_assembles_on_the_grid_it_is_handed(monkeypatch, model, ell,
+                                                      winding, grid):
+    # Handed a grid, low_lying builds its pencil on exactly that grid; handed
+    # none, on resolved_discretization's grid for the same problem.
+    seen = []
+    assemble = eigensolver.build_tridiagonal
+
+    def recorded(potential, disc, weight_fn=None):
+        seen.append(disc)
+        return assemble(potential, disc, weight_fn)
+
+    monkeypatch.setattr(eigensolver, "build_tridiagonal", recorded)
+    low_lying(model, ell, 2, winding=winding, grid=grid)
+    if grid is None:
+        assert seen == [resolved_discretization(model, ell, winding=winding)]
+    else:
+        assert len(seen) == 1 and seen[0] is grid
 
 
 def test_low_lying_validation():
@@ -337,14 +363,11 @@ def test_auto_discretization_rule():
     tau = tau_ho(spec)
     harmonic = 4.0
     sigma = harmonic ** -0.25
-    disc = auto_discretization(harmonic, tau)
+    disc = resolved_discretization("ho", 10.0)
     assert disc.half_width == pytest.approx(15.0 * sigma, rel=1e-14)
-    assert disc.points == 601
-    assert disc.step == pytest.approx(sigma / 20.0, rel=1e-15)
+    assert disc.points == 6001
+    assert disc.step == pytest.approx(sigma / 200.0, rel=1e-15)
     assert disc.shift_eps == tau
-    assert disc.points >= 64
-    with pytest.raises(ValueError):
-        auto_discretization(-1.0, 1.0)
 
 
 def test_automatic_grid_point_count_is_exact():

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import loglog_slope
 from toboggan.expansion import tau_cubic, tau_general
@@ -175,6 +178,27 @@ def test_ho_error_identity_and_n_independence():
             assert abs(d - identity) < 1e-12
         assert abs(diffs[0] - diffs[4]) < 1e-14 * max(1.0, abs(diffs[0]))
         assert diffs[0] == pytest.approx(omega / (2.0 * x), rel=1e-2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.6, 1e8), st.floats(1e-3, 1e3), st.integers(1, 6))
+@example(10.0, 1.0, 5)
+@example(25.0, 2.0, 5)
+@example(8689.473324476914, 0.2473159824799772, 3)
+@example(1e8, 1e3, 6)
+@example(1e8, 1e-3, 1)
+@example(0.6, 1e3, 2)
+def test_ho_identity_holds_to_the_rounding_of_the_levels(ell, omega, count):
+    # approx - exact is omega*(x - sqrt(x**2 - 1)) up to the rounding of
+    # levels of size omega*x, however large omega*l: the bound verify ho uses.
+    x = 2.0 * ell + 1.0
+    identity = omega * (x - math.sqrt(x * x - 1.0))
+    levels = range(min(count, math.ceil(ell + 0.5)))
+    exact = [energy_ho_exact(ell, omega, n) for n in levels]
+    approx = [energy_ho_approx(ell, omega, n) for n in levels]
+    rounding = 16 * sys.float_info.epsilon * max(1.0, *map(abs, approx + exact))
+    for a, e in zip(approx, exact):
+        assert abs((a - e) - identity) <= rounding
 
 
 def test_ho_error_bound():
