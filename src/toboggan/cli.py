@@ -1,6 +1,9 @@
 """Command-line interface: contour samples, spectrum tables, figure data,
 and verification reports comparing the finite-difference solver against the
-closed formulas.
+closed formulas.  verify holds each level of every target to its closed
+form within 1.25 times the oracle's predicted error: the closed form's first
+omitted series term (none for the exact oscillator levels of ho) plus the
+3-point scheme's leading truncation on the grid solved on.
 
 All commands are deterministic: identical inputs give byte-identical
 output, whatever the CPU count or the number of BLAS threads.  spectrum
@@ -25,7 +28,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -40,8 +42,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-CUBIC_SAFETY = 1.25
-HO_ENVELOPE = 1e-4
+# verify's margin over each level's predicted error, for the omitted orders.
+SAFETY = 1.25
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,29 +301,56 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Solve one target and write the report every target shares: problem,
-    grid, one record per level, the target's extras and the verdict."""
+    """Solve one target and hold each level to its closed form within SAFETY
+    times the predicted error |s_n + g_n|: s_n is the closed form's first
+    omitted series term (0 for the oscillator, whose levels are exact) and
+    g_n the grid's truncation_errors on the grid solved on.  Every target
+    writes one report: problem, grid, one record per level, the target's
+    extras and the verdict."""
     from . import eigensolver  # here, not at the top: it loads numpy
 
-    target, *defaults = VERIFY_TARGETS[args.target]
+    winding, *defaults = VERIFY_TARGETS[args.target]
     ell, count = (default if value is None else value
                   for default, value in zip(defaults, (args.ell, args.levels)))
-    overrides = {"points": args.points, "half_width": args.half_width, "eps": args.eps}
-
-    def solve(model: str, ell: float, count: int, **problem):
-        """low_lying's levels, and the grid it solved them on."""
-        disc = eigensolver.resolved_discretization(model, ell, **problem, **overrides)
-        return eigensolver.low_lying(model, ell, count, tol=args.tol, grid=disc,
-                                     **problem), disc
-
-    # problem: the fields after "target"; body: "levels" and the target's
-    # extras in report order; ok: the target's condition beside every level.
+    # The closed forms come before the grid: they reject a level beyond the
+    # oscillator's range, n < l + 1/2, before anything is solved.
+    if winding is None:  # exact levels, seeded at the stationary-point estimate
+        model, params = "ho", {"omega": args.omega}
+        problem = {"model": model, "ell": ell, **params}
+        closed = [spectra.energy_ho_exact(ell, args.omega, n) for n in range(count)]
+        seeds = [spectra.energy_ho_approx(ell, args.omega, n) for n in range(count)]
+        series = [0.0] * count
+    else:  # the N-winding levels are the N = 0 levels
+        model, params = "cubic_toboggan", {"winding": winding}
+        problem = {"model": model, **params, "ell": ell}
+        closed = seeds = [spectra.energy_cubic(ell, n) for n in range(count)]
+        series = [spectra.energy_cubic_correction(ell, n) for n in range(count)]
+    disc = eigensolver.resolved_discretization(
+        model, ell, **params, points=args.points, half_width=args.half_width, eps=args.eps)
     try:
-        problem, disc, body, ok = target(args, ell, count, solve)
+        results = eigensolver.low_lying(model, ell, count, tol=args.tol, grid=disc,
+                                        **params)
     except (eigensolver.ShiftCollisionError, eigensolver.DegenerateEigenvaluesError) as exc:
         print(f"toboggan: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    passed = all(level["pass"] for level in body["levels"]) and ok
+    grid_errors = eigensolver.truncation_errors(model, ell, disc.step, count, **params)
+    body = {"levels": [_level_record(n, r, closed[n], seeds[n],
+                                     SAFETY * abs(series[n] + g))
+                       for n, (r, g) in enumerate(zip(results, grid_errors))]}
+    passed = all(level["pass"] for level in body["levels"])
+    if winding is None:
+        x = 2.0 * ell + 1.0
+        body["approx_minus_exact"] = identity = args.omega * (x - math.sqrt(x * x - 1.0))
+        body["identity_residual"] = residual = max(abs((a - e) - identity)
+                                                   for a, e in zip(seeds, closed))
+        # The residual is the rounding of levels of size omega*(2l+1).
+        passed = passed and residual <= 16 * sys.float_info.epsilon * max(
+            1.0, *map(abs, seeds + closed))
+    elif winding:  # each level's distance to the paper's winding formula
+        body["paper_closed_form"] = paper = [spectra.energy_toboggan(winding, ell, n)
+                                             for n in range(count)]
+        body["paper_abs_diff"] = [abs(r.eigenvalue.real - e)
+                                  for r, e in zip(results, paper)]
     with _open_output(args.output) as out:
         print(json.dumps({"problem": {"target": args.target, **problem},
                           "grid": {"half_width": disc.half_width, "points": disc.points,
@@ -330,73 +359,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def _level_record(n: int, result: EigenResult, closed: float,
-                  tolerance: float, seed: float | None = None) -> dict:
-    """One level of a verify report; the seed defaults to the closed form."""
+def _level_record(n: int, result: EigenResult, closed: float, seed: float,
+                  tolerance: float) -> dict:
+    """One level of a verify report."""
     value = result.eigenvalue
     diff = abs(value.real - closed)
     within = diff <= tolerance and abs(value.imag) <= tolerance
-    return {"n": n, "seed": closed if seed is None else seed,
-            "eigenvalue": {"re": value.real, "im": value.imag},
+    return {"n": n, "seed": seed, "eigenvalue": {"re": value.real, "im": value.imag},
             "residual": result.residual, "iterations": result.iterations,
             "converged": result.converged, "closed_form": closed, "abs_diff": diff,
             "tolerance": tolerance, "pass": bool(result.converged and within)}
 
 
-def _verify_ho(args: argparse.Namespace, ell: float, count: int, solve):
-    from . import eigensolver
-
-    omega = args.omega
-    exact = [spectra.energy_ho_exact(ell, omega, n) for n in range(count)]
-    approx = [spectra.energy_ho_approx(ell, omega, n) for n in range(count)]
-    results, disc = solve("ho", ell, count, omega=omega)
-
-    # Second-order envelope: 1e-4 on the automatic grid, scaled by (h/h_auto)^2.
-    h_auto = eigensolver.resolved_discretization("ho", ell, omega=omega).step
-    envelope = HO_ENVELOPE * max(1.0, (disc.step / h_auto) ** 2)
-
-    records = [_level_record(n, results[n], exact[n], envelope, seed=approx[n])
-               for n in range(count)]
-    x = 2.0 * ell + 1.0
-    identity = omega * (x - math.sqrt(x * x - 1.0))
-    identity_residual = max(abs((approx[n] - exact[n]) - identity)
-                            for n in range(count))
-    # The residual is the rounding of levels of size omega*(2l+1).
-    rounding = 16 * sys.float_info.epsilon * max(1.0, *map(abs, approx + exact))
-    return ({"model": "ho", "ell": ell, "omega": omega}, disc,
-            {"levels": records, "approx_minus_exact": identity,
-             "identity_residual": identity_residual}, identity_residual <= rounding)
-
-
-def _verify_cubic(winding: int, args: argparse.Namespace, ell: float, count: int,
-                  solve):
-    """Levels of the N-winding problem against the N = 0 closed forms, each
-    within CUBIC_SAFETY times its predicted error: energy_cubic_correction
-    plus the grid's truncation_errors (the margin covers higher orders, 4 %
-    at l = 26).  For N >= 1 the report adds each level's distance to the
-    paper's winding formula energy_toboggan."""
-    from . import eigensolver
-
-    results, disc = solve("cubic_toboggan", ell, count, winding=winding)
-    grid_errors = eigensolver.truncation_errors("cubic_toboggan", ell, disc.step,
-                                                count, winding=winding)
-    records = [_level_record(n, r, spectra.energy_cubic(ell, n), CUBIC_SAFETY
-                             * abs(spectra.energy_cubic_correction(ell, n) + g))
-               for n, (r, g) in enumerate(zip(results, grid_errors))]
-    body = {"levels": records}
-    if winding:
-        paper = [spectra.energy_toboggan(winding, ell, n) for n in range(count)]
-        body["paper_closed_form"] = paper
-        body["paper_abs_diff"] = [abs(r.eigenvalue.real - e)
-                                  for r, e in zip(results, paper)]
-    return ({"model": "cubic_toboggan", "winding": winding, "ell": ell}, disc,
-            body, True)
-
-
-# Per verify target: its check, and the default ell and level count.
-VERIFY_TARGETS = {"ho": (_verify_ho, 10.0, 3),
-                  "cubic0": (partial(_verify_cubic, 0), 50.0, 2),
-                  "toboggan1": (partial(_verify_cubic, 1), 50.0, 2)}
+# Per verify target: its winding number (None for the oscillator), and the
+# default ell and level count.
+VERIFY_TARGETS = {"ho": (None, 10.0, 3),
+                  "cubic0": (0, 50.0, 2),
+                  "toboggan1": (1, 50.0, 2)}
 
 
 _parser: _Parser | None = None  # built by the first main() call

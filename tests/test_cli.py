@@ -271,14 +271,43 @@ def test_verify_cubic0_grid_has_601_points(capsys):
     assert json.loads(out)["grid"]["points"] == 601
 
 
-def test_verify_ho_envelope_on_its_automatic_grid_is_exact(capsys):
+def test_verify_ho_tolerance_is_the_predicted_grid_error(capsys):
+    # The closed form is exact, so the series term is 0 and the tolerance is
+    # 1.25 times the grid's truncation on the step solved on.
     code, out, _ = run(capsys, "verify", "ho", "--omega", "0.3048632888327971",
-                       "--ell", "4.529846941673305", "--levels", "1")
+                       "--ell", "4.529846941673305", "--levels", "3")
     assert code == 0
-    assert json.loads(out)["levels"][0]["tolerance"] == 1e-4
+    report = json.loads(out)
+    grid_errors = truncation_errors("ho", 4.529846941673305, report["grid"]["step"], 3,
+                                    omega=0.3048632888327971)
+    for n, level in enumerate(report["levels"]):
+        assert level["abs_diff"] <= level["tolerance"]
+        assert level["tolerance"] == 1.25 * abs(grid_errors[n])
 
 
-@pytest.mark.parametrize("target", ["cubic0", "toboggan1"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [("--levels", "5"), ("--omega", "2", "--levels", "4")])
+def test_verify_ho_tolerance_scales_with_n_and_omega(capsys, argv):
+    # The grid error grows like omega (6n**2 + 6n + 3); a fixed 1e-4 failed
+    # n = 4 here at 1.27e-4 and n = 3 at omega = 2 at 1.54e-4.
+    code, out, _ = run(capsys, "verify", "ho", *argv)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_ho_tells_the_approximate_level_from_the_exact_one(capsys):
+    # At l = 1e4 the approximate levels sit 2.5e-5 above the exact ones; the
+    # ground level's tolerance, 3.9e-6, is below that, where 1e-4 was not.
+    code, out, _ = run(capsys, "verify", "ho", "--ell", "1e4")
+    assert code == 0
+    report = json.loads(out)
+    ground = report["levels"][0]
+    assert ground["tolerance"] == pytest.approx(3.9e-6, rel=0.01)
+    assert report["approx_minus_exact"] == pytest.approx(2.5e-5, rel=1e-3)
+    assert ground["tolerance"] < report["approx_minus_exact"]
+
+
+@pytest.mark.parametrize("target", ["ho", "cubic0", "toboggan1"])
 @pytest.mark.parametrize("flag, key", [("--eps", "eps"),
                                        ("--half-width", "half_width")])
 def test_verify_grid_override_leaves_the_calibration_alone(capsys, target,

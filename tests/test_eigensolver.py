@@ -305,6 +305,40 @@ def test_oracle_error_is_the_predicted_error(ell, winding, points):
         assert 0.95 <= (r.eigenvalue.real - energy_cubic(ell, n)) / predicted <= 1.05
 
 
+# Where the oscillator oracle's error is not the grid's, so that no grid
+# rule can predict it.
+HO_ORACLE_LIMITS = {
+    0.6: "n = 1: the seed energy_ho_approx, 4.04 omega, lies nearer the other "
+         "family's level omega (2l + 3) = 4.2 omega than the exact 3.8 omega",
+    (1e8, 301): "n = 1: tol = 1e-9 of |E| = 2e8 omega stops inverse iteration at "
+                "1.73 g_1 (tol = 1e-13 gives 1.00)",
+    (1e8, 24001): "g_n = 2e-7 omega is a few ulp of |E| = 2e8 omega: rounding "
+                  "sets the error",
+}
+
+
+def _ho_oracle_cases():
+    for ell in (0.05, 0.6, 4.0, 10.0, 60.0, 1e4, 1e8):
+        for omega in (0.25, 2.0, 10.0):
+            for points in (301, 6001, 24001):
+                reason = HO_ORACLE_LIMITS.get(ell) or HO_ORACLE_LIMITS.get((ell, points))
+                marks = [pytest.mark.xfail(reason=reason, strict=True)] if reason else []
+                yield pytest.param(ell, omega, points, marks=marks)
+
+
+@pytest.mark.parametrize("ell, omega, points", _ho_oracle_cases())
+def test_ho_oracle_error_is_the_predicted_grid_error(ell, omega, points):
+    # The exact levels leave the 3-point scheme's leading truncation as the
+    # oracle's whole error: from 0.31 of it at l = 0.05 to 1.00 from l = 10
+    # up, whatever omega, at every level verify accepts up to n = 4.
+    count = min(5, math.ceil(ell + 0.5))
+    grid = resolved_discretization("ho", ell, omega=omega, points=points)
+    results = low_lying("ho", ell, count, omega=omega, grid=grid)
+    grid_errors = truncation_errors("ho", ell, grid.step, count, omega=omega)
+    for n, (r, g) in enumerate(zip(results, grid_errors)):
+        assert 0 < (r.eigenvalue.real - energy_ho_exact(ell, omega, n)) / g <= 1.05
+
+
 def test_truncation_error_hand_value():
     # The oscillator's well is -psi'' + 4 x**2 psi (w = 2, gap 4): level n
     # moves by -(h w)**2 (6n**2 + 6n + 3)/48.
