@@ -19,7 +19,6 @@ from .expansion import (
     rescale,
     stationary_points,
     stationary_points_ho,
-    tau_cubic,
     tau_general,
     tau_ho,
     taylor_at,

@@ -246,7 +246,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise ValueError("--ell is required")
     table = SpectrumTable.closed_form(args.N, args.ell, args.levels)
     rows = [(e.winding_number, e.ell, table.rho, e.n, e.energy, e.rescaled,
-             e.gap, e.source) for e in table.entries]
+             e.gap, "closed_form") for e in table.entries]
     _write_table(args, ("N", "ell", "rho", "n", "E", "F", "G", "source"), rows,
                  {"rho": table.rho}, "entries")
     return EXIT_OK

@@ -35,6 +35,9 @@ from .spectra import energy_cubic, energy_ho_approx, gap
 # worker threads; one of at most DOT_BLOCK terms runs on the calling thread.
 DOT_BLOCK = 8192
 
+# inverse_iteration gives up after this many sweeps.
+MAX_SWEEPS = 200
+
 
 def get_lapack_funcs(names, *args, **kwargs):
     """scipy.linalg.get_lapack_funcs, with scipy imported on the first call.
@@ -88,11 +91,9 @@ class Discretization:
     def step(self) -> float:
         return 2.0 * self.half_width / (self.points - 1)
 
-    def s_grid(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.points)
-
     def complex_grid(self) -> np.ndarray:
-        return self.s_grid() - 1j * self.shift_eps
+        s = np.linspace(-self.half_width, self.half_width, self.points)
+        return s - 1j * self.shift_eps
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def blocked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def inverse_iteration(system: TridiagonalSystem, shift: complex,
-                      tol: float = 1e-9, max_iter: int = 200) -> EigenResult:
+                      tol: float = 1e-9) -> EigenResult:
     """Shifted inverse iteration v <- solve(A - shift*B, B v) with
     max-modulus normalization and Rayleigh estimate (v* A v)/(v* B v).
 
@@ -180,13 +181,11 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     below the backward-error bound tol * (|A|_inf + |lambda| |B|_inf); the
     raw residual is what EigenResult reports.  The residual is computed only
     where it is read: on a sweep whose estimate has settled, and on the
-    last.  After max_iter sweeps without meeting both, converged is False;
-    max_iter below 1 raises ValueError.  Raises ShiftCollisionError when
-    A - shift*B factorizes as singular or a solve is not finite, in which
-    case the caller is expected to nudge the shift by about 1e-6 * |shift|.
+    last.  After MAX_SWEEPS sweeps without meeting both, converged is False.
+    Raises ShiftCollisionError when A - shift*B factorizes as singular or a
+    solve is not finite, in which case the caller is expected to nudge the
+    shift by about 1e-6 * |shift|.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got max_iter = {max_iter}")
     n = system.diag.size
     d = system.diag - shift * system.weight
     dl = np.full(n - 1, system.off, dtype=complex)
@@ -201,7 +200,7 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     bv = system.weight * np.ones(n, dtype=complex)
     lam = None
     residual = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_SWEEPS + 1):
         w, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, bv)
         modulus = np.abs(w)
         k = np.argmax(modulus)
@@ -213,12 +212,12 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
         lam_new = complex(blocked_vdot(v, av) / blocked_vdot(v, bv))
         settled = (lam is not None
                    and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)))
-        if settled or iteration == max_iter:
+        if settled or iteration == MAX_SWEEPS:
             residual = float(np.max(np.abs(av - lam_new * bv)) / np.max(np.abs(v)))
             if settled and residual <= tol * (norm_a + abs(lam_new) * norm_b):
                 return EigenResult(lam_new, residual, iteration, True)
         lam = lam_new
-    return EigenResult(complex(lam), residual, max_iter, False)
+    return EigenResult(complex(lam), residual, MAX_SWEEPS, False)
 
 
 def truncation_errors(model: str, ell: float, step: float, count: int, *,
@@ -282,8 +281,8 @@ def resolved_discretization(model: str, ell: float, *, winding: int = 0,
 
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
-              omega: float = 1.0, tol: float = 1e-9, grid: Discretization | None = None,
-              seeds: Sequence[complex] | None = None) -> list[EigenResult]:
+              omega: float = 1.0, tol: float = 1e-9,
+              grid: Discretization | None = None) -> list[EigenResult]:
     """Lowest `count` eigenvalues of a benchmark problem, sorted by real part.
 
     Parameters
@@ -303,13 +302,16 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         the oscillator, on the line through the well: eps = tau for the
         oscillator, and for the winding problem eps = tau_0**(1/(2N+1)), the
         N = 0 well's preimage.
-    seeds :
-        Explicit shifts, replacing the closed-form level seeds (the N = 0
-        levels energy_cubic for every winding number).
 
-    Without explicit seeds, a ValueError says l is out of regime when tol
-    cannot tell the lowest closed-form level from one gap above it, whatever
-    the count.  Two seeds that converge to one eigenvalue raise
+    Each level is seeded at its closed form: energy_ho_approx for the
+    oscillator, and the N = 0 levels energy_cubic for every winding number.
+    A ValueError says l is out of regime, before anything is solved, when
+    tol cannot tell the lowest seed from one gap above it, whatever the
+    count, or when an oscillator seed cannot reach its level n: each sweep
+    multiplies its error by r, its distance to the exact omega (4n + 1 - 2l)
+    over its distance to the nearest other level of either family
+    omega (4m + 1 - 2l) and omega (4m + 3 + 2l), and r**MAX_SWEEPS > tol.
+    Two seeds that converge to one eigenvalue raise
     DegenerateEigenvaluesError.
     """
     if count < 1:
@@ -317,26 +319,30 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
     if not 0 < tol < 1:
         raise ValueError(f"tol must be finite and positive, and below 1, got tol = {tol:g}")
     problem = _problem(model, ell, winding, omega)
-    if seeds is not None:
-        seed_values = [complex(s) for s in seeds]
-        if len(seed_values) < count:
-            raise ValueError("need one seed per requested level")
-    else:
-        seed_values = [complex(problem.seed(n)) for n in range(count)]
-        if _too_close(seed_values[0], seed_values[0] + problem.gap, tol):
-            raise ValueError(f"l = {ell:g} is out of regime: tol = {tol:g} cannot "
-                             "tell the closed-form levels apart")
+    seeds = [complex(problem.seed(n)) for n in range(count)]
+    if _too_close(seeds[0], seeds[0] + problem.gap, tol):
+        raise ValueError(f"l = {ell:g} is out of regime: tol = {tol:g} cannot "
+                         "tell the closed-form levels apart")
+    for n, seed in enumerate(seeds if model == "ho" else ()):
+        levels = [omega * (4 * m + k) for m in range(n + 2)
+                  for k in (1 - 2 * ell, 3 + 2 * ell)]
+        own = levels.pop(2 * n)
+        # r**MAX_SWEEPS > tol multiplied out: a seed on another level has r = inf.
+        if abs(seed - own) > tol ** (1 / MAX_SWEEPS) * min(abs(seed - e) for e in levels):
+            raise ValueError(f"l = {ell:g} is out of regime: the seed of level "
+                             f"n = {n} is too near another level to reach it "
+                             f"within tol = {tol:g} in {MAX_SWEEPS} sweeps")
 
     system = build_tridiagonal(problem.potential, problem.grid if grid is None else grid,
                                problem.weight)
 
     results: list[EigenResult] = []
     for n in range(count):
-        result = _iterate_with_retries(system, seed_values[n], tol)
+        result = _iterate_with_retries(system, seeds[n], tol)
         twin = _duplicate_index(results, result.eigenvalue, tol, problem.gap)
         if twin is not None:
             raise DegenerateEigenvaluesError(
-                f"seeds {seed_values[twin]!r} and {seed_values[n]!r} both "
+                f"seeds {seeds[twin]!r} and {seeds[n]!r} both "
                 f"converged to {result.eigenvalue!r} (residuals "
                 f"{results[twin].residual:.3e} and {result.residual:.3e})")
         results.append(result)

@@ -29,24 +29,15 @@ class StationaryFamily:
     roots: tuple[complex, ...]
     tau: float
 
-    @property
-    def selected(self) -> complex:
-        return self.roots[0]
-
 
 @dataclass(frozen=True)
 class TaylorExpansion:
-    """Local data V(T), V''(T)/2, V'''(T)/6 of a potential at base_point T.
-
-    error_order is the power of tau carried by the first neglected (quartic)
-    term, when the caller knows it.
-    """
+    """Local data V(T), V''(T)/2, V'''(T)/6 of a potential at base_point T."""
 
     base_point: complex
     value: complex
     harmonic: complex
     cubic: complex
-    error_order: int | None = None
 
 
 @dataclass(frozen=True)
@@ -59,13 +50,9 @@ class RescaledForm:
     constant_rescaled: float
 
 
-def tau_cubic(ell: float) -> float:
-    """Radial scale (2 l(l+1) / 3)**(1/5) of the cubic stationary pentagon."""
-    return tau_general(0, ell)
-
-
 def tau_general(winding_number: int, ell: float) -> float:
-    """Polygon radius (2 L(L+1) / ((2N+1)**2 (10N+3)))**(1/(10N+5))."""
+    """Polygon radius (2 L(L+1) / ((2N+1)**2 (10N+3)))**(1/(10N+5)); at N = 0
+    the cubic pentagon's (2 l(l+1) / 3)**(1/5)."""
     n = int(winding_number)
     # As a Python float, L(L+1) overflows to inf where a numpy scalar warns.
     big_l = float(angular_map(n, ell))
@@ -136,8 +123,7 @@ def stationary_points_ho(spec: HOSpec) -> StationaryFamily:
     return StationaryFamily(roots, tau)
 
 
-def taylor_at(terms: PowerTerms, point: complex,
-              error_order: int | None = None) -> TaylorExpansion:
+def taylor_at(terms: PowerTerms, point: complex) -> TaylorExpansion:
     """Exact Taylor data of sum(c * y**p) at `point`.
 
     The k-th derivative of c*y**p is c * p(p-1)...(p-k+1) * y**(p-k), so the
@@ -154,7 +140,7 @@ def taylor_at(terms: PowerTerms, point: complex,
         value += coeff * zpow(point, p)
         second += coeff * p * (p - 1) * zpow(point, p - 2)
         third += coeff * p * (p - 1) * (p - 2) * zpow(point, p - 3)
-    return TaylorExpansion(point, value, second / 2.0, third / 6.0, error_order)
+    return TaylorExpansion(point, value, second / 2.0, third / 6.0)
 
 
 def taylor_rectified(problem: RectifiedProblem) -> TaylorExpansion:
@@ -166,7 +152,7 @@ def taylor_rectified(problem: RectifiedProblem) -> TaylorExpansion:
     """
     n = problem.winding_number
     tau = tau_general(n, problem.ell)
-    return taylor_at(power_terms(problem), -1j * tau, error_order=10 * n - 1)
+    return taylor_at(power_terms(problem), -1j * tau)
 
 
 def taylor_ho(spec: HOSpec) -> TaylorExpansion:
@@ -178,7 +164,7 @@ def taylor_ho(spec: HOSpec) -> TaylorExpansion:
     against finite differences.  The first neglected term carries tau**(-2).
     """
     tau = tau_ho(spec)
-    return taylor_at(power_terms_ho(spec), -1j * tau, error_order=-2)
+    return taylor_at(power_terms_ho(spec), -1j * tau)
 
 
 def harmonic_frequency(winding_number: int) -> float:

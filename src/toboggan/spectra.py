@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from .expansion import tau_general
 from .potentials import HOSpec
 
-SOURCE_CLOSED_FORM = "closed_form"
-
 
 def energy_toboggan(winding_number: int, ell: float, n: int) -> float:
     """The paper's closed-form level n of the N-winding cubic problem,
@@ -136,7 +134,6 @@ class SpectrumEntry:
     energy: float
     rescaled: float
     gap: float
-    source: str
 
 
 @dataclass
@@ -155,7 +152,7 @@ class SpectrumTable:
         scale = rho ** 0.6  # scale * E is rescaled_level, bit for bit
         energies = [energy_toboggan(winding_number, ell, n) for n in range(levels)]
         entries = [SpectrumEntry(int(winding_number), float(ell), n, energy,
-                                 scale * energy, spacing, SOURCE_CLOSED_FORM)
+                                 scale * energy, spacing)
                    for n, energy in enumerate(energies)]
         return cls(entries, rho)
 

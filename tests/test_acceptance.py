@@ -15,7 +15,6 @@ from toboggan.expansion import (
     harmonic_frequency,
     power_terms,
     power_terms_ho,
-    tau_cubic,
     tau_general,
     taylor_rectified,
 )
@@ -112,7 +111,7 @@ def test_criterion_4_taylor_engine():
         checks.append(rel_err(expansion.cubic, fd[2]) < 1e-6)
 
     # Cubic closed forms at the selected root.
-    tau = tau_cubic(40.0)
+    tau = tau_general(0, 40.0)
     expansion = taylor_rectified(build_rectified(0, 40.0))
     checks.append(rel_err(expansion.value, -2.5 * tau ** 3) < 1e-10)
     checks.append(rel_err(expansion.harmonic, 7.5 * tau) < 1e-10)
@@ -210,7 +209,6 @@ def test_criterion_8_structural_reductions():
         eps = float(rng.uniform(0.05, 3.0))
         ok &= energy_toboggan(0, ell, n) == energy_cubic(ell, n)
         ok &= winding_path(0, eps, s) == straight_path(eps, s)
-        ok &= tau_general(0, ell) == tau_cubic(ell)
     problem = build_rectified(0, 7.0)
     for y in (0.5 - 0.5j, 2.0 + 1j, -3j, 1.0):
         ok &= weight(problem, y) == 1.0 + 0j

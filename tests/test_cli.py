@@ -307,6 +307,25 @@ def test_verify_ho_tells_the_approximate_level_from_the_exact_one(capsys):
     assert ground["tolerance"] < report["approx_minus_exact"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ell, code", [("0.6", 1), ("0.62", 1), ("0.625", 0)])
+def test_verify_ho_rejects_a_level_its_seed_cannot_reach(capsys, ell, code):
+    # Each sweep shrinks the n = 1 seed's error by r, its distance to the
+    # exact level over its distance to the other family's omega (2l + 3): r =
+    # 1.5 at l = 0.6 (the seed converged to that level), 0.964 at l = 0.62
+    # (200 sweeps did not converge) and 0.883 at l = 0.625, the first within
+    # tol = 1e-9 in 200 sweeps.
+    status, out, err = run(capsys, "verify", "ho", "--ell", ell, "--levels", "2")
+    assert status == code
+    if code:
+        assert out == ""
+        assert err == (f"toboggan: error: l = {ell} is out of regime: the seed of "
+                       "level n = 1 is too near another level to reach it within "
+                       "tol = 1e-09 in 200 sweeps\n")
+    else:
+        assert json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize("target", ["ho", "cubic0", "toboggan1"])
 @pytest.mark.parametrize("flag, key", [("--eps", "eps"),
                                        ("--half-width", "half_width")])
@@ -592,7 +611,7 @@ def test_spectrum_csv_round_trip(capsys):
         assert float(row[4]) == entry.energy
         assert float(row[5]) == entry.rescaled
         assert float(row[6]) == entry.gap
-        assert row[7] == entry.source == "closed_form"
+        assert row[7] == "closed_form"
 
 
 def test_spectrum_json(capsys):
@@ -607,7 +626,7 @@ def test_spectrum_json(capsys):
     for row, entry in zip(payload["entries"], table.entries):
         assert set(row) == {"N", "ell", "n", "E", "F", "G", "source"}
         assert (row["N"], row["ell"], row["n"], row["source"]) \
-            == (entry.winding_number, entry.ell, entry.n, entry.source)
+            == (entry.winding_number, entry.ell, entry.n, "closed_form")
         assert (row["E"], row["F"], row["G"]) \
             == (entry.energy, entry.rescaled, entry.gap)
 

@@ -10,7 +10,7 @@ from toboggan.contours import (
     straight_path,
     winding_path,
 )
-from toboggan.expansion import tau_cubic
+from toboggan.expansion import tau_general
 
 
 def test_straight_path_values():
@@ -19,7 +19,7 @@ def test_straight_path_values():
 
 
 def test_straight_path_at_optimal_shift():
-    tau = tau_cubic(4.0)
+    tau = tau_general(0, 4.0)
     assert tau == (2.0 * 4.0 * 5.0 / 3.0) ** 0.2
     assert abs(tau - 1.6789) < 2e-4  # 5-digit reference
     assert straight_path(tau, 0.0) == complex(0.0, -tau)

@@ -26,7 +26,7 @@ from toboggan.spectra import energy_cubic, energy_cubic_correction, energy_ho_ex
 def test_discretization_validation():
     disc = Discretization(half_width=1.0, points=3, shift_eps=1.0)
     assert disc.step == 1.0
-    assert np.allclose(disc.s_grid(), [-1.0, 0.0, 1.0])
+    assert np.allclose(disc.complex_grid(), [-1.0 - 1j, -1j, 1.0 - 1j])
     with pytest.raises(ValueError):
         Discretization(half_width=0.0, points=3, shift_eps=1.0)
     with pytest.raises(ValueError):
@@ -129,31 +129,24 @@ def _dense(system: TridiagonalSystem) -> tuple[np.ndarray, np.ndarray]:
     return a, np.diag(system.weight)
 
 
-def test_inverse_iteration_reports_non_convergence():
+def test_inverse_iteration_reports_non_convergence(monkeypatch):
     disc = Discretization(6.0, 401, shift_eps=1.0)
     system = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
     # The estimate and residual reported are those of the last sweep,
     # recomputed here with dense matrices.
     a, b = _dense(system)
-    for max_iter in (1, 3):
+    for sweeps in (1, 3):
         v = np.ones(system.diag.size, complex)
-        for _ in range(max_iter):
+        for _ in range(sweeps):
             w = np.linalg.solve(a - 0.9 * b, b @ v)
             v = w / w[np.argmax(np.abs(w))]
         lam = np.vdot(v, a @ v) / np.vdot(v, b @ v)
         residual = np.max(np.abs(a @ v - lam * (b @ v))) / np.max(np.abs(v))
-        result = inverse_iteration(system, 0.9, tol=1e-12, max_iter=max_iter)
-        assert (result.converged, result.iterations) == (False, max_iter)
+        monkeypatch.setattr(eigensolver, "MAX_SWEEPS", sweeps)
+        result = inverse_iteration(system, 0.9, tol=1e-12)
+        assert (result.converged, result.iterations) == (False, sweeps)
         assert result.eigenvalue == pytest.approx(lam, rel=1e-12)
         assert result.residual == pytest.approx(residual, rel=1e-8)
-
-
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_inverse_iteration_rejects_max_iter_below_one(max_iter):
-    disc = Discretization(half_width=1.0, points=3, shift_eps=1.0)
-    system = build_tridiagonal(lambda y: np.zeros_like(y), disc)
-    with pytest.raises(ValueError, match=f"max_iter = {max_iter}$"):
-        inverse_iteration(system, 0.5, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, -math.inf)])
@@ -271,10 +264,19 @@ def test_weighted_and_unweighted_paths_agree_at_zero_winding():
     assert abs(a.eigenvalue - b.eigenvalue) <= 1e-12 * abs(b.eigenvalue)
 
 
-def test_low_lying_user_seed_degeneracy_error():
+def test_low_lying_user_seed_degeneracy_error(monkeypatch):
+    # Seeds 0.01 and 0.02 above the ground level both converge to it.  An
+    # oscillator seed pair like that is rejected as out of regime before
+    # solving, since the second seed is nearer the first level than its own.
+    ground = energy_cubic(50.0, 0)
+    monkeypatch.setattr(eigensolver, "energy_cubic",
+                        lambda ell, n: ground + 0.01 * (n + 1))
     with pytest.raises(DegenerateEigenvaluesError):
-        low_lying("ho", 10.0, 2, grid=resolved_discretization("ho", 10.0, points=601),
-                  seeds=[-18.98, -18.99])
+        low_lying("cubic_toboggan", 50.0, 2)
+    monkeypatch.setattr(eigensolver, "energy_ho_approx",
+                        lambda ell, omega, n: -18.98 - 0.01 * n)
+    with pytest.raises(ValueError, match="seed of level n = 1 is too near"):
+        low_lying("ho", 10.0, 2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -308,8 +310,9 @@ def test_oracle_error_is_the_predicted_error(ell, winding, points):
 # Where the oscillator oracle's error is not the grid's, so that no grid
 # rule can predict it.
 HO_ORACLE_LIMITS = {
-    0.6: "n = 1: the seed energy_ho_approx, 4.04 omega, lies nearer the other "
-         "family's level omega (2l + 3) = 4.2 omega than the exact 3.8 omega",
+    0.6: "n = 1 is out of regime: the seed energy_ho_approx, 4.04 omega, lies "
+         "nearer the other family's level omega (2l + 3) = 4.2 omega than the "
+         "exact 3.8 omega, so low_lying rejects it",
     (1e8, 301): "n = 1: tol = 1e-9 of |E| = 2e8 omega stops inverse iteration at "
                 "1.73 g_1 (tol = 1e-13 gives 1.00)",
     (1e8, 24001): "g_n = 2e-7 omega is a few ulp of |E| = 2e8 omega: rounding "
@@ -388,8 +391,6 @@ def test_low_lying_validation():
         low_lying("ho", 10.0, 0)
     with pytest.raises(ValueError):
         low_lying("nonsense", 10.0, 1)
-    with pytest.raises(ValueError):
-        low_lying("ho", 10.0, 2, seeds=[-19.0])
 
 
 def test_auto_discretization_rule():

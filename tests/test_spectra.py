@@ -7,9 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import loglog_slope
-from toboggan.expansion import tau_cubic, tau_general
+from toboggan.expansion import tau_general
 from toboggan.spectra import (
-    SOURCE_CLOSED_FORM,
     SpectrumTable,
     density_parameter,
     energy_cubic,
@@ -26,7 +25,7 @@ from toboggan.spectra import (
 
 
 def test_energy_cubic_hand_value():
-    tau = tau_cubic(4.0)
+    tau = tau_general(0, 4.0)
     expected = -2.5 * tau ** 3 + math.sqrt(7.5 * tau)
     assert energy_cubic(4.0, 0) == pytest.approx(expected, rel=1e-15)
     assert energy_cubic(4.0, 0) == pytest.approx(-8.2811, abs=2e-3)  # 5-digit ref
@@ -71,7 +70,7 @@ def test_gap_matches_energy_difference():
 
 
 def test_gap_hand_value():
-    assert gap(0, 4.0) == pytest.approx(2.0 * math.sqrt(7.5 * tau_cubic(4.0)),
+    assert gap(0, 4.0) == pytest.approx(2.0 * math.sqrt(7.5 * tau_general(0, 4.0)),
                                         rel=1e-14)
 
 
@@ -232,7 +231,6 @@ def test_spectrum_table_structure():
     assert [e.n for e in table.entries] == [0, 1, 2, 3]
     energies = [e.energy for e in table.entries]
     assert all(a < b for a, b in zip(energies, energies[1:]))
-    assert all(e.source == SOURCE_CLOSED_FORM for e in table.entries)
     assert sorted(table.entries, key=lambda e: (e.winding_number, e.ell, e.n)) \
         == table.entries
     with pytest.raises(ValueError):
