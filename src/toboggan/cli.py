@@ -144,13 +144,14 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
     """Write rows, at least one, as CSV (the default) or as --format json records.
 
     Cells are ints, floats and strs, a column keeping its first row's type;
-    a nan or inf cell is an error, raised before anything is written.  Both
-    formats stream the rows through one %-template built from the header
-    and the first row.  In CSV ints and strings print as they are and floats
-    at the requested number of significant digits.  JSON is the list of
+    a nan or inf cell is an error, raised before anything is written.  Each
+    format is a head, a %-template per row from the header and the first
+    row, a separator and a tail.  CSV prints ints and strings as they are
+    and floats at the requested significant digits.  JSON is the list of
     records keyed by header, or with an envelope the meta fields followed by
-    that list under `key` (a record leaves out any field the envelope already
-    carries), in the text json.dump(..., indent=2) writes.
+    that list under `key` (a record leaves out any field the envelope
+    carries): json.dump(..., indent=2)'s text of the document with an empty
+    list, split where the records go; %r is json's text of an int or float.
     """
     for i, (name, cell) in enumerate(zip(header, rows[0])):
         # A sum of finite floats can overflow, but nan and inf always show.
@@ -159,24 +160,10 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
                 if not math.isfinite(row[i]):
                     raise ValueError(f"column {name} is not finite in row {number} "
                                      f"of {len(rows)}: {row[i]!r}")
+    cells = iter(rows)
     if args.format == "json":
-        _write_records(args, header, rows, meta or {}, key)
-        return
-    float_cell = f"%.{_digits()}g"
-    with _open_output(args.output) as out:
-        out.write(",".join(header) + "\n")
-        line = ",".join("%s" if isinstance(cell, (int, str)) else float_cell
-                        for cell in rows[0]) + "\n"
-        out.writelines(line % row for row in rows)
-
-
-def _write_records(args: argparse.Namespace, header: tuple[str, ...],
-                   rows: list[tuple], meta: dict, key: str | None) -> None:
-    """The JSON of _write_table: json's text of the document with an empty
-    list, split where the records go.  %r of an int or a finite float is the
-    text json writes for it; strings are encoded by json."""
-    document = json.dumps({**meta, key: []} if key else [], indent=2)
-    with _open_output(args.output) as out:
+        meta = meta or {}
+        document = json.dumps({**meta, key: []} if key else [], indent=2)
         cut = document.rindex("[]") + 1
         indent = "  " if key else ""  # of the list; a record sits one level in
         pad = indent + "  "
@@ -184,15 +171,21 @@ def _write_records(args: argparse.Namespace, header: tuple[str, ...],
         texts = {i for i in kept if type(rows[0][i]) is str}
         fields = ",\n".join(f"{pad}  {json.dumps(header[i]).replace('%', '%%')}: "
                             + ("%s" if i in texts else "%r") for i in kept)
-        record = f"{pad}{{\n{fields}\n{pad}}}"
-        cells = iter(rows)
+        head, record = document[:cut] + "\n", f"{pad}{{\n{fields}\n{pad}}}"
+        separator, tail = ",\n", f"\n{indent}{document[cut:]}\n"
         if texts or len(kept) < len(header):
             cells = (tuple(json.dumps(row[i]) if i in texts else row[i] for i in kept)
                      for row in rows)
-        out.write(document[:cut] + "\n" + record % next(cells))
-        record = ",\n" + record
+    else:
+        float_cell = f"%.{_digits()}g"
+        head, separator, tail = ",".join(header) + "\n", "\n", "\n"
+        record = ",".join("%s" if isinstance(cell, (int, str)) else float_cell
+                          for cell in rows[0])
+    with _open_output(args.output) as out:
+        out.write(head + record % next(cells))
+        record = separator + record
         out.writelines(record % row for row in cells)
-        out.write(f"\n{indent}{document[cut:]}\n")
+        out.write(tail)
 
 
 def _with_config(parser: _Parser, argv: list[str],
@@ -312,19 +305,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     winding, *defaults = VERIFY_TARGETS[args.target]
     ell, count = (default if value is None else value
                   for default, value in zip(defaults, (args.ell, args.levels)))
-    # The closed forms come before the grid: they reject a level beyond the
-    # oscillator's range, n < l + 1/2, before anything is solved.
-    if winding is None:  # exact levels, seeded at the stationary-point estimate
+    if winding is None:
         model, params = "ho", {"omega": args.omega}
         problem = {"model": model, "ell": ell, **params}
-        closed = [spectra.energy_ho_exact(ell, args.omega, n) for n in range(count)]
-        seeds = [spectra.energy_ho_approx(ell, args.omega, n) for n in range(count)]
-        series = [0.0] * count
-    else:  # the N-winding levels are the N = 0 levels
+    else:
         model, params = "cubic_toboggan", {"winding": winding}
         problem = {"model": model, **params, "ell": ell}
-        closed = seeds = [spectra.energy_cubic(ell, n) for n in range(count)]
-        series = [spectra.energy_cubic_correction(ell, n) for n in range(count)]
+    # The solve comes first: low_lying rejects more levels than grid points,
+    # and an oscillator level n >= l + 1/2, before a closed form is listed.
     disc = eigensolver.resolved_discretization(
         model, ell, **params, points=args.points, half_width=args.half_width, eps=args.eps)
     try:
@@ -333,6 +321,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (eigensolver.ShiftCollisionError, eigensolver.DegenerateEigenvaluesError) as exc:
         print(f"toboggan: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    if winding is None:  # exact levels, seeded at the stationary-point estimate
+        closed = [spectra.energy_ho_exact(ell, args.omega, n) for n in range(count)]
+        seeds = [spectra.energy_ho_approx(ell, args.omega, n) for n in range(count)]
+        series = [0.0] * count
+    else:  # the N-winding levels are the N = 0 levels
+        closed = seeds = [spectra.energy_cubic(ell, n) for n in range(count)]
+        series = [spectra.energy_cubic_correction(ell, n) for n in range(count)]
     grid_errors = eigensolver.truncation_errors(model, ell, disc.step, count, **params)
     body = {"levels": [_level_record(n, r, closed[n], seeds[n],
                                      SAFETY * abs(series[n] + g))

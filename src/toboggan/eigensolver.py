@@ -28,7 +28,7 @@ import numpy as np
 from .expansion import tau_general, tau_ho, taylor_ho, taylor_rectified
 from .potentials import HOSpec, v_eff_ho
 from .rectify import build_rectified, rectified_potential, weight
-from .spectra import energy_cubic, energy_ho_approx, gap
+from .spectra import energy_cubic, energy_ho_approx, energy_ho_exact, gap
 
 
 # OpenBLAS splits a complex dot product of more than 10,000 terms over its
@@ -283,7 +283,7 @@ def resolved_discretization(model: str, ell: float, *, winding: int = 0,
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
               omega: float = 1.0, tol: float = 1e-9,
               grid: Discretization | None = None) -> list[EigenResult]:
-    """Lowest `count` eigenvalues of a benchmark problem, sorted by real part.
+    """The eigenvalue each closed-form seed n < count converges to, in n order.
 
     Parameters
     ----------
@@ -305,36 +305,39 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
 
     Each level is seeded at its closed form: energy_ho_approx for the
     oscillator, and the N = 0 levels energy_cubic for every winding number.
-    A ValueError says l is out of regime, before anything is solved, when
-    tol cannot tell the lowest seed from one gap above it, whatever the
-    count, or when an oscillator seed cannot reach its level n: each sweep
-    multiplies its error by r, its distance to the exact omega (4n + 1 - 2l)
-    over its distance to the nearest other level of either family
-    omega (4m + 1 - 2l) and omega (4m + 3 + 2l), and r**MAX_SWEEPS > tol.
-    Two seeds that converge to one eigenvalue raise
-    DegenerateEigenvaluesError.
+    Before anything is solved, a ValueError rejects more levels than grid
+    points, an oscillator level n >= l + 1/2, and an l out of regime: tol
+    cannot tell the lowest seed from one gap above it, whatever the count,
+    or an oscillator seed cannot reach its level n.  Each sweep multiplies
+    its error by r, its distance to its level energy_ho_exact over its
+    distance to the nearest other level of either family omega (4m + 1 - 2l)
+    and omega (4m + 3 + 2l), and r**MAX_SWEEPS > tol.  Two seeds that
+    converge to one eigenvalue raise DegenerateEigenvaluesError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be finite and positive, and below 1, got tol = {tol:g}")
     problem = _problem(model, ell, winding, omega)
+    grid = problem.grid if grid is None else grid
+    if count > grid.points:
+        raise ValueError(f"cannot find {count} levels on {grid.points} grid points: "
+                         f"the pencil has {grid.points} eigenvalues")
     seeds = [complex(problem.seed(n)) for n in range(count)]
+    exact = [energy_ho_exact(ell, omega, n) for n in range(count)] if model == "ho" else []
     if _too_close(seeds[0], seeds[0] + problem.gap, tol):
         raise ValueError(f"l = {ell:g} is out of regime: tol = {tol:g} cannot "
                          "tell the closed-form levels apart")
-    for n, seed in enumerate(seeds if model == "ho" else ()):
-        levels = [omega * (4 * m + k) for m in range(n + 2)
-                  for k in (1 - 2 * ell, 3 + 2 * ell)]
-        own = levels.pop(2 * n)
+    for n, (seed, own) in enumerate(zip(seeds, exact)):
+        levels = [*exact[:n], own + 4 * omega,  # the rung above may be out of range
+                  *(omega * (4 * m + 3 + 2 * ell) for m in range(n + 2))]
         # r**MAX_SWEEPS > tol multiplied out: a seed on another level has r = inf.
         if abs(seed - own) > tol ** (1 / MAX_SWEEPS) * min(abs(seed - e) for e in levels):
             raise ValueError(f"l = {ell:g} is out of regime: the seed of level "
                              f"n = {n} is too near another level to reach it "
                              f"within tol = {tol:g} in {MAX_SWEEPS} sweeps")
 
-    system = build_tridiagonal(problem.potential, problem.grid if grid is None else grid,
-                               problem.weight)
+    system = build_tridiagonal(problem.potential, grid, problem.weight)
 
     results: list[EigenResult] = []
     for n in range(count):
@@ -346,7 +349,6 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
                 f"converged to {result.eigenvalue!r} (residuals "
                 f"{results[twin].residual:.3e} and {result.residual:.3e})")
         results.append(result)
-    results.sort(key=lambda r: r.eigenvalue.real)
     return results
 
 

@@ -150,9 +150,13 @@ class SpectrumTable:
         spacing = gap(winding_number, ell)
         rho = density_parameter(ell)
         scale = rho ** 0.6  # scale * E is rescaled_level, bit for bit
-        energies = [energy_toboggan(winding_number, ell, n) for n in range(levels)]
-        entries = [SpectrumEntry(int(winding_number), float(ell), n, energy,
-                                 scale * energy, spacing)
-                   for n, energy in enumerate(energies)]
+        try:
+            entries = [None] * levels  # one allocation: too many levels fail at once
+        except OverflowError:  # levels above sys.maxsize
+            raise MemoryError(f"levels {levels} is too large") from None
+        for n in range(levels):
+            energy = energy_toboggan(winding_number, ell, n)
+            entries[n] = SpectrumEntry(int(winding_number), float(ell), n, energy,
+                                       scale * energy, spacing)
         return cls(entries, rho)
 

@@ -326,6 +326,27 @@ def test_verify_ho_rejects_a_level_its_seed_cannot_reach(capsys, ell, code):
         assert json.loads(out)["passed"] is True
 
 
+def test_verify_records_carry_their_own_seeds_solve(capsys, monkeypatch):
+    # At l = 1.15 both solves stop at the 200-sweep cap, seed 1's below seed
+    # 0's; record n must still show the eigenvalue seed n's solve ended at.
+    solves = []
+    iterate = eigensolver._iterate_with_retries
+
+    def recorded(system, shift, tol):
+        solves.append((shift, iterate(system, shift, tol)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(eigensolver, "_iterate_with_retries", recorded)
+    code, out, _ = run(capsys, "verify", "toboggan1", "--ell", "1.15", "--levels", "2")
+    levels = json.loads(out)["levels"]
+    assert code == 2 and len(solves) == 2
+    assert solves[1][1].eigenvalue.real < solves[0][1].eigenvalue.real
+    for level, (shift, result) in zip(levels, solves):
+        assert level["seed"] == shift
+        assert complex(level["eigenvalue"]["re"], level["eigenvalue"]["im"]) \
+            == result.eigenvalue
+
+
 @pytest.mark.parametrize("target", ["ho", "cubic0", "toboggan1"])
 @pytest.mark.parametrize("flag, key", [("--eps", "eps"),
                                        ("--half-width", "half_width")])
@@ -663,6 +684,15 @@ def test_grid_count_beyond_any_list_is_a_memory_error():
         cli._log_grid(1.0, 10.0, sys.maxsize + 1, "--ell-points")
 
 
+def test_spectrum_level_count_beyond_any_list_is_a_memory_error(capsys):
+    # As for _log_grid: the list of entries is asked for in one step, before
+    # any level is computed, and above sys.maxsize it cannot be asked for.
+    with pytest.raises(MemoryError, match="levels"):
+        SpectrumTable.closed_form(0, 4.0, sys.maxsize + 1)
+    assert run(capsys, "spectrum", "--ell", "4", "--levels", str(sys.maxsize + 1)) == (
+        1, "", f"toboggan: error: out of memory: levels {sys.maxsize + 1} is too large\n")
+
+
 def _bits(values):
     return np.array(values, dtype=np.float64).view(np.int64)
 
@@ -751,6 +781,12 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     (("verify", "toboggan1", "--ell", "inf"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "-3"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "0"), "need L(L+1) > 0"),
+    # A 601-point pencil has 601 eigenvalues: rejected before any closed form
+    # is listed.
+    (("verify", "cubic0", "--levels", "602"), "cannot find 602 levels on 601 grid points"),
+    # n = 1 is out of reach at l = 0.6 and n = 2 out of range: the range is named.
+    (("verify", "ho", "--ell", "0.6", "--levels", "3"),
+     "level n = 2 out of range: need n < l + 1/2 = 1.1"),
     (("contour", "--N", "1000", "--count", "3"), "column re is not finite in row 1 of 3"),
     (("contour", "--N", "1000", "--count", "3", "--format", "json"),
      "column re is not finite in row 1 of 3"),
@@ -774,6 +810,7 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
         "verify-cubic0-ell-nan", "verify-cubic0-ell-inf",
         "verify-cubic0-ell-negative", "verify-cubic0-ell-0", "verify-toboggan1-ell-nan",
         "verify-toboggan1-ell-inf", "verify-toboggan1-ell-negative", "verify-toboggan1-ell-0",
+        "verify-cubic0-levels-602", "verify-ho-ell-0.6-levels-3",
         "contour-N-1000", "contour-N-1000-json", "contour-s-max-1e100",
         "contour-s-max-1e100-json"])
 def test_non_finite_or_negative_input_is_rejected(capsys, argv, fragment):

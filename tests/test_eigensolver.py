@@ -386,6 +386,41 @@ def test_low_lying_assembles_on_the_grid_it_is_handed(monkeypatch, model, ell,
         assert len(seen) == 1 and seen[0] is grid
 
 
+def test_low_lying_returns_each_seeds_solve_in_seed_order(monkeypatch):
+    # At winding 1, l = 1.15, seed 1's solve ends below seed 0's (both stop at
+    # the sweep cap); level n is still seed n's solve.
+    solves = []
+    iterate = eigensolver._iterate_with_retries
+
+    def recorded(system, shift, tol):
+        solves.append((shift, iterate(system, shift, tol)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(eigensolver, "_iterate_with_retries", recorded)
+    results = low_lying("cubic_toboggan", 1.15, 2, winding=1)
+    assert [shift for shift, _ in solves] == [energy_cubic(1.15, n) for n in range(2)]
+    assert results == [result for _, result in solves]
+    assert results[1].eigenvalue.real < results[0].eigenvalue.real
+
+
+def test_low_lying_ho_levels_are_held_to_their_range():
+    # Below l + 1/2 = 0.8 only n = 0 exists: seeds 1 and 2 would find the
+    # other family's levels omega (4m + 3 + 2l) instead.
+    with pytest.raises(ValueError, match=r"level n = 1 out of range: need n < l \+ 1/2 = 0.8"):
+        low_lying("ho", 0.3, 3)
+    (result,) = low_lying("ho", 0.3, 1)
+    assert result.converged and result.eigenvalue.real == pytest.approx(0.4, abs=1e-5)
+
+
+@pytest.mark.parametrize("count, grid", [(602, None), (10**12, None),
+                                         (4, Discretization(12.0, 3, 1.0))])
+def test_low_lying_rejects_more_levels_than_grid_points(monkeypatch, count, grid):
+    monkeypatch.setattr(eigensolver, "build_tridiagonal", None)  # never reached
+    points = 601 if grid is None else grid.points
+    with pytest.raises(ValueError, match=f"cannot find {count} levels on {points} grid"):
+        low_lying("cubic_toboggan", 50.0, count, grid=grid)
+
+
 def test_low_lying_validation():
     with pytest.raises(ValueError):
         low_lying("ho", 10.0, 0)
