@@ -7,20 +7,22 @@ shifted inverse iteration on the complex tridiagonal pencil (A, B).
 
 The tridiagonal LU factorization (LAPACK gttrf/gttrs) is computed once per
 shift and reused across iterations; B is diagonal throughout, so every sweep
-costs O(K): one gttrs solve against the B v of the sweep before, one pass
-that finds the largest modulus and checks it is finite, an in-place
-normalization, A v and B v, and the two Rayleigh-quotient dot products.  The
-residual is formed only on the sweeps that read it.  The dot products run
-over blocks of at most DOT_BLOCK terms, each below the length at which
-OpenBLAS splits a dot product over worker threads, so a sweep starts no BLAS
-thread and its rounding does not depend on the CPU count.
+costs O(K).  Each TridiagonalSystem owns one workspace of grid-sized arrays,
+allocated on its first solve and reused by every level and every nudged
+shift: gttrf factorizes the workspace's three diagonals in place, gttrs
+solves in place over the right-hand side, and every other step of a sweep
+writes into a fixed buffer, so a sweep allocates no array.  The residual is
+formed only on the sweeps that read it.  The dot products run over blocks of
+at most DOT_BLOCK terms, each below the length at which OpenBLAS splits a
+dot product over worker threads, so a sweep starts no BLAS thread and its
+rounding does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,18 +112,57 @@ class EigenResult:
     converged: bool
 
 
+class _Workspace:
+    """The arrays inverse_iteration works in, for a pencil of n points.
+
+    dl, d and du take the diagonals of A - shift*B and then their LU
+    factors; rhs and bv are the two vector buffers, rhs holding the
+    right-hand side and then v, bv taking B v, and they trade roles every
+    sweep; av takes A v, scratch the terms of A v and the residual, and
+    modulus the moduli of either.
+    """
+
+    def __init__(self, n: int):
+        self.dl, self.du = np.empty(n - 1, complex), np.empty(n - 1, complex)
+        self.d, self.rhs, self.bv = (np.empty(n, complex) for _ in range(3))
+        self.av, self.scratch = np.empty(n, complex), np.empty(n, complex)
+        self.modulus = np.empty(n)
+
+
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    """Pencil A v = lambda B v with constant off-diagonal and diagonal B."""
+    """Pencil A v = lambda B v with constant off-diagonal and diagonal B.
+
+    Its infinity norms and its workspace are built on first use and kept:
+    inverse_iteration refills the workspace on every call, so one system
+    takes one solve at a time.
+    """
 
     diag: np.ndarray
     off: complex
     weight: np.ndarray
 
-    def apply_a(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
+    @cached_property
+    def norm_a(self) -> float:
+        return float(np.max(np.abs(self.diag))) + 2.0 * abs(self.off)
+
+    @cached_property
+    def norm_b(self) -> float:
+        return float(np.max(np.abs(self.weight)))
+
+    @cached_property
+    def workspace(self) -> _Workspace:
+        return _Workspace(self.diag.size)
+
+    def apply_a(self, v: np.ndarray, *, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+        """A v written into out, with scratch (a vector of v's size) for
+        the off-diagonal terms; returns out."""
+        np.multiply(self.diag, v, out=out)
+        np.multiply(self.off, v[1:], out=scratch[:-1])
+        np.add(out[:-1], scratch[:-1], out=out[:-1])
+        np.multiply(self.off, v[:-1], out=scratch[1:])
+        np.add(out[1:], scratch[1:], out=out[1:])
         return out
 
 
@@ -170,53 +211,66 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     """Shifted inverse iteration v <- solve(A - shift*B, B v) with
     max-modulus normalization and Rayleigh estimate (v* A v)/(v* B v).
 
-    One sweep solves against the B v the previous sweep computed for its
-    Rayleigh quotient (B times the all-ones start on the first), rejects a
-    solution whose largest modulus is not finite (a nan or inf anywhere
-    makes it so), divides by the entry of largest modulus in place, and
-    forms A v, B v and the two dot products with blocked_vdot.
+    Every step writes into the system's workspace.  The diagonals of
+    A - shift*B are filled in and factorized in place by gttrf.  One sweep
+    has gttrs overwrite the right-hand side, the B v the previous sweep
+    formed (B times the all-ones start on the first), with the solution v;
+    writes its moduli into the modulus buffer and rejects a v whose largest
+    modulus is not finite (a nan or inf anywhere makes it so); divides v by
+    its entry of largest modulus in place; writes A v into the A v buffer
+    (through the scratch vector) and B v into the second vector buffer; and
+    takes the two dot products with blocked_vdot.  The two vector buffers
+    then swap, so the B v just formed is the next right-hand side.  A sweep
+    allocates no array; the factorization allocates only gttrf's second
+    superdiagonal and pivots.
 
     Converged means the relative change of the estimate dropped below
     tol * max(1, |lambda|) and the residual max|A v - lambda B v| / max|v|
     below the backward-error bound tol * (|A|_inf + |lambda| |B|_inf); the
-    raw residual is what EigenResult reports.  The residual is computed only
-    where it is read: on a sweep whose estimate has settled, and on the
-    last.  After MAX_SWEEPS sweeps without meeting both, converged is False.
-    Raises ShiftCollisionError when A - shift*B factorizes as singular or a
-    solve is not finite, in which case the caller is expected to nudge the
-    shift by about 1e-6 * |shift|.
+    raw residual is what EigenResult reports.  The residual, formed in the
+    scratch vector, is computed only where it is read: on a sweep whose
+    estimate has settled, and on the last.  After MAX_SWEEPS sweeps without
+    meeting both, converged is False.  Raises ShiftCollisionError when
+    A - shift*B factorizes as singular or a solve is not finite, in which
+    case the caller is expected to nudge the shift by about 1e-6 * |shift|.
     """
-    n = system.diag.size
-    d = system.diag - shift * system.weight
-    dl = np.full(n - 1, system.off, dtype=complex)
-    du = dl.copy()
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
-    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(dl, d, du)
+    ws = system.workspace
+    np.multiply(shift, system.weight, out=ws.d)
+    np.subtract(system.diag, ws.d, out=ws.d)
+    ws.dl.fill(system.off)
+    ws.du.fill(system.off)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (ws.d,))
+    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(ws.dl, ws.d, ws.du, overwrite_dl=1,
+                                               overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise ShiftCollisionError(f"pencil is singular at shift {shift!r}")
 
-    norm_a = float(np.max(np.abs(system.diag))) + 2.0 * abs(system.off)
-    norm_b = float(np.max(np.abs(system.weight)))
-    bv = system.weight * np.ones(n, dtype=complex)
+    rhs, bv, modulus = ws.rhs, ws.bv, ws.modulus
+    rhs.fill(1.0)
+    np.multiply(system.weight, rhs, out=rhs)
     lam = None
     residual = math.inf
     for iteration in range(1, MAX_SWEEPS + 1):
-        w, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, bv)
-        modulus = np.abs(w)
+        v, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, rhs, overwrite_b=1)
+        np.abs(v, out=modulus)
         k = np.argmax(modulus)
         if info != 0 or not math.isfinite(modulus[k]):
             raise ShiftCollisionError(f"triangular solve failed at shift {shift!r}")
-        v = np.divide(w, w[k], out=w)
-        av = system.apply_a(v)
-        bv = system.weight * v
+        np.divide(v, v[k], out=v)
+        av = system.apply_a(v, out=ws.av, scratch=ws.scratch)
+        np.multiply(system.weight, v, out=bv)
         lam_new = complex(blocked_vdot(v, av) / blocked_vdot(v, bv))
         settled = (lam is not None
                    and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)))
         if settled or iteration == MAX_SWEEPS:
-            residual = float(np.max(np.abs(av - lam_new * bv)) / np.max(np.abs(v)))
-            if settled and residual <= tol * (norm_a + abs(lam_new) * norm_b):
+            r = np.multiply(lam_new, bv, out=ws.scratch)
+            np.abs(np.subtract(av, r, out=r), out=modulus)
+            largest = np.max(modulus)
+            residual = float(largest / np.max(np.abs(v, out=modulus)))
+            if settled and residual <= tol * (system.norm_a + abs(lam_new) * system.norm_b):
                 return EigenResult(lam_new, residual, iteration, True)
         lam = lam_new
+        rhs, bv = bv, v
     return EigenResult(complex(lam), residual, MAX_SWEEPS, False)
 
 

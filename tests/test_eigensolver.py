@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +20,15 @@ from toboggan.eigensolver import (
     truncation_errors,
 )
 from toboggan.expansion import tau_general, tau_ho
-from toboggan.potentials import HOSpec
+from toboggan.potentials import HOSpec, v_eff_ho
 from toboggan.rectify import build_rectified, rectified_potential, weight
-from toboggan.spectra import energy_cubic, energy_cubic_correction, energy_ho_exact, gap
+from toboggan.spectra import (
+    energy_cubic,
+    energy_cubic_correction,
+    energy_ho_approx,
+    energy_ho_exact,
+    gap,
+)
 
 
 def test_discretization_validation():
@@ -92,15 +100,58 @@ def test_real_line_harmonic_oscillator():
         assert abs(result.eigenvalue.imag) < 1e-12
 
 
+def _three_point_system() -> TridiagonalSystem:
+    return TridiagonalSystem(diag=np.array([1.0, 2.0, 3.0], complex),
+                             off=0.0 + 0j,
+                             weight=np.ones(3, complex))
+
+
 def test_shift_collision_raises_and_perturbation_recovers():
-    system = TridiagonalSystem(diag=np.array([1.0, 2.0, 3.0], complex),
-                               off=0.0 + 0j,
-                               weight=np.ones(3, complex))
+    system = _three_point_system()
     with pytest.raises(ShiftCollisionError):
         inverse_iteration(system, 2.0)
     result = inverse_iteration(system, 2.0 * (1.0 + 1e-6))
     assert result.converged
     assert result.eigenvalue == pytest.approx(2.0, rel=1e-12)
+    # The failed factorization left nothing behind in the workspace.
+    assert result == inverse_iteration(_three_point_system(), 2.0 * (1.0 + 1e-6))
+
+
+def test_workspace_carries_no_state_between_calls():
+    # Every call refills the system's workspace, so the order in which one
+    # system's levels are solved cannot change a bit of any of them.  A
+    # winding-1 pencil has B != I, so the B v buffer is exercised too.
+    rectified = build_rectified(1, 50.0)
+    system = build_tridiagonal(partial(rectified_potential, rectified),
+                               resolved_discretization("cubic_toboggan", 50.0, winding=1),
+                               partial(weight, rectified))
+    assert not np.all(system.weight == 1.0)
+
+    def solve(n):
+        r = inverse_iteration(system, energy_cubic(50.0, n))
+        return r.eigenvalue, r.residual, r.iterations
+
+    in_order = {n: solve(n) for n in (0, 1, 2, 3)}
+    shuffled = {n: solve(n) for n in (3, 1, 0, 2)}
+    assert shuffled == in_order
+
+
+def test_a_level_allocates_no_grid_sized_array():
+    # After the first solve has built the workspace, a level allocates only
+    # gttrf's second superdiagonal and pivots, never a grid-sized array per
+    # sweep.
+    points = 24001
+    system = build_tridiagonal(partial(v_eff_ho, spec=HOSpec(angular=40.0, frequency=0.5)),
+                               resolved_discretization("ho", 40.0, omega=0.5, points=points))
+    inverse_iteration(system, energy_ho_approx(40.0, 0.5, 0))
+    tracemalloc.start()
+    try:
+        result = inverse_iteration(system, energy_ho_approx(40.0, 0.5, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.iterations > 1
+    assert peak < 2 * 16 * points
 
 
 def test_inverse_iteration_fetches_lapack_through_module_name(monkeypatch):
@@ -171,6 +222,10 @@ def test_non_finite_solve_raises_shift_collision(monkeypatch, bad):
     monkeypatch.setattr(eigensolver, "get_lapack_funcs", poisoned)
     with pytest.raises(ShiftCollisionError, match="triangular solve failed"):
         inverse_iteration(system, 0.9)
+    # A solve abandoned mid-sweep leaves nothing behind in the workspace.
+    monkeypatch.undo()
+    fresh = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
+    assert inverse_iteration(system, 0.9) == inverse_iteration(fresh, 0.9)
 
 
 @st.composite
