@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import spectra
 from .contours import WindingContour, sample_path
+from .potentials import check_frequency
 from .spectra import SpectrumTable
 
 if TYPE_CHECKING:
@@ -302,6 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     extras and the verdict."""
     from . import eigensolver  # here, not at the top: it loads numpy
 
+    check_frequency(args.omega)  # first, for every target, as ho's HOSpec does
     winding, *defaults = VERIFY_TARGETS[args.target]
     ell, count = (default if value is None else value
                   for default, value in zip(defaults, (args.ell, args.levels)))

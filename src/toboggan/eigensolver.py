@@ -7,13 +7,13 @@ shifted inverse iteration on the complex tridiagonal pencil (A, B).
 
 The tridiagonal LU factorization (LAPACK gttrf/gttrs) is computed once per
 shift and reused across iterations; B is diagonal throughout, so every sweep
-costs O(K).  Each TridiagonalSystem owns one workspace of grid-sized arrays,
-allocated on its first solve and reused by every level and every nudged
-shift: gttrf factorizes the workspace's three diagonals in place, gttrs
-solves in place over the right-hand side, and every other step of a sweep
-writes into a fixed buffer, so a sweep allocates no array.  The residual is
-formed only on the sweeps that read it.  The dot products run over blocks of
-at most DOT_BLOCK terms, each below the length at which OpenBLAS splits a
+costs O(K).  Each TridiagonalSystem allocates its solve buffers, grid-sized
+arrays, when it is built, and every level and every nudged shift reuses
+them: gttrf factorizes the system's three diagonal buffers in place, gttrs
+solves in place over its right-hand side, and every other step of a sweep
+writes into one of its buffers, so a sweep allocates no array.  The residual
+is formed only on the sweeps that read it.  The dot products run over blocks
+of at most DOT_BLOCK terms, each below the length at which OpenBLAS splits a
 dot product over worker threads, so a sweep starts no BLAS thread and its
 rounding does not depend on the CPU count.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,58 +112,29 @@ class EigenResult:
     converged: bool
 
 
-class _Workspace:
-    """The arrays inverse_iteration works in, for a pencil of n points.
+class TridiagonalSystem:
+    """Pencil A v = lambda B v with constant off-diagonal and diagonal B.
 
-    dl, d and du take the diagonals of A - shift*B and then their LU
-    factors; rhs and bv are the two vector buffers, rhs holding the
-    right-hand side and then v, bv taking B v, and they trade roles every
-    sweep; av takes A v, scratch the terms of A v and the residual, and
-    modulus the moduli of either.
+    diag and off are A's diagonal and off-diagonal, weight is B's diagonal,
+    and norm_a and norm_b are the infinity norms of A and B.  The other
+    eight arrays are inverse_iteration's buffers, allocated here and
+    refilled on every call, so one system takes one solve at a time: dl, d
+    and du take the diagonals of A - shift*B and then their LU factors; rhs
+    and bv are the two vector buffers, rhs holding the right-hand side and
+    then v, bv taking B v, and they trade roles every sweep; av takes A v,
+    scratch the off-diagonal terms of A v and the residual, and modulus the
+    moduli of either.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, diag: np.ndarray, off: complex, weight: np.ndarray):
+        self.diag, self.off, self.weight = diag, off, weight
+        self.norm_a = float(np.max(np.abs(diag))) + 2.0 * abs(off)
+        self.norm_b = float(np.max(np.abs(weight)))
+        n = diag.size
         self.dl, self.du = np.empty(n - 1, complex), np.empty(n - 1, complex)
         self.d, self.rhs, self.bv = (np.empty(n, complex) for _ in range(3))
         self.av, self.scratch = np.empty(n, complex), np.empty(n, complex)
         self.modulus = np.empty(n)
-
-
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Pencil A v = lambda B v with constant off-diagonal and diagonal B.
-
-    Its infinity norms and its workspace are built on first use and kept:
-    inverse_iteration refills the workspace on every call, so one system
-    takes one solve at a time.
-    """
-
-    diag: np.ndarray
-    off: complex
-    weight: np.ndarray
-
-    @cached_property
-    def norm_a(self) -> float:
-        return float(np.max(np.abs(self.diag))) + 2.0 * abs(self.off)
-
-    @cached_property
-    def norm_b(self) -> float:
-        return float(np.max(np.abs(self.weight)))
-
-    @cached_property
-    def workspace(self) -> _Workspace:
-        return _Workspace(self.diag.size)
-
-    def apply_a(self, v: np.ndarray, *, out: np.ndarray,
-                scratch: np.ndarray) -> np.ndarray:
-        """A v written into out, with scratch (a vector of v's size) for
-        the off-diagonal terms; returns out."""
-        np.multiply(self.diag, v, out=out)
-        np.multiply(self.off, v[1:], out=scratch[:-1])
-        np.add(out[:-1], scratch[:-1], out=out[:-1])
-        np.multiply(self.off, v[:-1], out=scratch[1:])
-        np.add(out[1:], scratch[1:], out=out[1:])
-        return out
 
 
 def _evaluate(fn: Callable, y: np.ndarray, what: str, disc: Discretization) -> np.ndarray:
@@ -189,8 +160,10 @@ def build_tridiagonal(potential: Callable, disc: Discretization,
         wdiag = np.ones(disc.points, dtype=complex)
     else:
         wdiag = _evaluate(weight_fn, y, "weight", disc)
+    del y  # so the system's buffers can take its memory
     h = disc.step
-    return TridiagonalSystem(2.0 / (h * h) + values, -1.0 / (h * h), wdiag)
+    np.add(2.0 / (h * h), values, out=values)
+    return TridiagonalSystem(values, -1.0 / (h * h), wdiag)
 
 
 def blocked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -211,43 +184,45 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     """Shifted inverse iteration v <- solve(A - shift*B, B v) with
     max-modulus normalization and Rayleigh estimate (v* A v)/(v* B v).
 
-    Every step writes into the system's workspace.  The diagonals of
-    A - shift*B are filled in and factorized in place by gttrf.  One sweep
-    has gttrs overwrite the right-hand side, the B v the previous sweep
-    formed (B times the all-ones start on the first), with the solution v;
-    writes its moduli into the modulus buffer and rejects a v whose largest
-    modulus is not finite (a nan or inf anywhere makes it so); divides v by
-    its entry of largest modulus in place; writes A v into the A v buffer
-    (through the scratch vector) and B v into the second vector buffer; and
-    takes the two dot products with blocked_vdot.  The two vector buffers
-    then swap, so the B v just formed is the next right-hand side.  A sweep
-    allocates no array; the factorization allocates only gttrf's second
-    superdiagonal and pivots.
+    Every step writes into one of the system's own buffers (named as in
+    TridiagonalSystem).  The diagonals of A - shift*B are filled into dl, d
+    and du and factorized there in place by gttrf.  One sweep has gttrs
+    overwrite rhs, the B v the previous sweep formed (B times the all-ones
+    start on the first), with the solution v; writes its moduli into modulus
+    and rejects a v whose largest modulus is not finite (a nan or inf
+    anywhere makes it so); divides v by its entry of largest modulus in
+    place; writes A v into av, its off-diagonal terms formed in scratch, and
+    B v into bv; and takes the two dot products with blocked_vdot.  rhs and
+    bv then swap, so the B v just formed is the next right-hand side.  A
+    sweep allocates no array; the factorization allocates only gttrf's
+    second superdiagonal and pivots.
 
     Converged means the relative change of the estimate dropped below
     tol * max(1, |lambda|) and the residual max|A v - lambda B v| / max|v|
     below the backward-error bound tol * (|A|_inf + |lambda| |B|_inf); the
-    raw residual is what EigenResult reports.  The residual, formed in the
-    scratch vector, is computed only where it is read: on a sweep whose
+    raw residual is what EigenResult reports.  The residual, formed in
+    scratch, is computed only where it is read: on a sweep whose
     estimate has settled, and on the last.  After MAX_SWEEPS sweeps without
     meeting both, converged is False.  Raises ShiftCollisionError when
     A - shift*B factorizes as singular or a solve is not finite, in which
     case the caller is expected to nudge the shift by about 1e-6 * |shift|.
     """
-    ws = system.workspace
-    np.multiply(shift, system.weight, out=ws.d)
-    np.subtract(system.diag, ws.d, out=ws.d)
-    ws.dl.fill(system.off)
-    ws.du.fill(system.off)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (ws.d,))
-    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(ws.dl, ws.d, ws.du, overwrite_dl=1,
-                                               overwrite_d=1, overwrite_du=1)
+    diag, off, weight = system.diag, system.off, system.weight
+    np.multiply(shift, weight, out=system.d)
+    np.subtract(diag, system.d, out=system.d)
+    system.dl.fill(off)
+    system.du.fill(off)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (system.d,))
+    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(system.dl, system.d, system.du,
+                                               overwrite_dl=1, overwrite_d=1,
+                                               overwrite_du=1)
     if info != 0:
         raise ShiftCollisionError(f"pencil is singular at shift {shift!r}")
 
-    rhs, bv, modulus = ws.rhs, ws.bv, ws.modulus
+    rhs, bv, av, scratch = system.rhs, system.bv, system.av, system.scratch
+    modulus = system.modulus
     rhs.fill(1.0)
-    np.multiply(system.weight, rhs, out=rhs)
+    np.multiply(weight, rhs, out=rhs)
     lam = None
     residual = math.inf
     for iteration in range(1, MAX_SWEEPS + 1):
@@ -257,13 +232,17 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
         if info != 0 or not math.isfinite(modulus[k]):
             raise ShiftCollisionError(f"triangular solve failed at shift {shift!r}")
         np.divide(v, v[k], out=v)
-        av = system.apply_a(v, out=ws.av, scratch=ws.scratch)
-        np.multiply(system.weight, v, out=bv)
+        np.multiply(diag, v, out=av)
+        np.multiply(off, v[1:], out=scratch[:-1])
+        np.add(av[:-1], scratch[:-1], out=av[:-1])
+        np.multiply(off, v[:-1], out=scratch[1:])
+        np.add(av[1:], scratch[1:], out=av[1:])
+        np.multiply(weight, v, out=bv)
         lam_new = complex(blocked_vdot(v, av) / blocked_vdot(v, bv))
         settled = (lam is not None
                    and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)))
         if settled or iteration == MAX_SWEEPS:
-            r = np.multiply(lam_new, bv, out=ws.scratch)
+            r = np.multiply(lam_new, bv, out=scratch)
             np.abs(np.subtract(av, r, out=r), out=modulus)
             largest = np.max(modulus)
             residual = float(largest / np.max(np.abs(v, out=modulus)))

@@ -511,6 +511,8 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     ({"levels": 2}, ("spectrum", "--ell", "10", "--lev", "4"), 4),
     ({"levels": 2}, ("spectrum", "--ell", "10", "--levels=4"), 4),
     ({"levels": 2}, ("verify", "ho", "--lev", "1"), 1),
+    ({"omega": 2.0}, ("verify", "cubic0", "--levels", "1"), 1),
+    ({"omega": 2.0}, ("verify", "toboggan1", "--levels", "1"), 1),
     ({"count": 3}, ("contour",), 3),
     ({"count": 3}, ("figure", "fig1"), 9),
     ({"output": 2}, ("spectrum", "--ell", "4"), 5),
@@ -526,6 +528,7 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     ({"format": "xml"}, ("spectrum", "--ell", "4"), "'format'"),
     ("{", ("spectrum", "--ell", "4"), "config file"),
 ], ids=["abbreviated-flag-wins", "flag-with-equals-wins", "verify-flag-wins",
+        "shared-omega-cubic0", "shared-omega-toboggan1",
         "shared-key-contour", "shared-key-figure", "output-is-a-path",
         "positional-which", "positional-target", "command", "config", "help",
         "levels-not-int", "levels-float", "N-list", "output-null",
@@ -781,6 +784,13 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     (("verify", "toboggan1", "--ell", "inf"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "-3"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "0"), "need L(L+1) > 0"),
+    # omega applies to ho alone, but a bad one is an error on every target,
+    # named before anything else is checked.
+    (("verify", "cubic0", "--omega", "-5"), "omega must be finite and positive, got omega = -5"),
+    (("verify", "cubic0", "--omega", "inf"), "omega must be finite and positive, got omega = inf"),
+    (("verify", "toboggan1", "--omega", "nan"),
+     "omega must be finite and positive, got omega = nan"),
+    (("verify", "cubic0", "--ell", "nan", "--omega", "-1"), "got omega = -1"),
     # A 601-point pencil has 601 eigenvalues: rejected before any closed form
     # is listed.
     (("verify", "cubic0", "--levels", "602"), "cannot find 602 levels on 601 grid points"),
@@ -810,6 +820,8 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
         "verify-cubic0-ell-nan", "verify-cubic0-ell-inf",
         "verify-cubic0-ell-negative", "verify-cubic0-ell-0", "verify-toboggan1-ell-nan",
         "verify-toboggan1-ell-inf", "verify-toboggan1-ell-negative", "verify-toboggan1-ell-0",
+        "verify-cubic0-omega-negative", "verify-cubic0-omega-inf", "verify-toboggan1-omega-nan",
+        "verify-cubic0-ell-nan-omega-negative",
         "verify-cubic0-levels-602", "verify-ho-ell-0.6-levels-3",
         "contour-N-1000", "contour-N-1000-json", "contour-s-max-1e100",
         "contour-s-max-1e100-json"])

@@ -113,12 +113,12 @@ def test_shift_collision_raises_and_perturbation_recovers():
     result = inverse_iteration(system, 2.0 * (1.0 + 1e-6))
     assert result.converged
     assert result.eigenvalue == pytest.approx(2.0, rel=1e-12)
-    # The failed factorization left nothing behind in the workspace.
+    # The failed factorization left nothing behind in the system's buffers.
     assert result == inverse_iteration(_three_point_system(), 2.0 * (1.0 + 1e-6))
 
 
 def test_workspace_carries_no_state_between_calls():
-    # Every call refills the system's workspace, so the order in which one
+    # Every call refills the system's buffers, so the order in which one
     # system's levels are solved cannot change a bit of any of them.  A
     # winding-1 pencil has B != I, so the B v buffer is exercised too.
     rectified = build_rectified(1, 50.0)
@@ -136,14 +136,19 @@ def test_workspace_carries_no_state_between_calls():
     assert shuffled == in_order
 
 
-def test_a_level_allocates_no_grid_sized_array():
-    # After the first solve has built the workspace, a level allocates only
-    # gttrf's second superdiagonal and pivots, never a grid-sized array per
-    # sweep.
+@pytest.mark.parametrize("warm", [True, False], ids=["after-warm-up", "fresh-system"])
+def test_a_level_allocates_no_grid_sized_array(warm):
+    # A system allocates its buffers when it is built, so a level, the first
+    # on a system as much as any later one, allocates only gttrf's second
+    # superdiagonal and pivots, never a grid-sized array.  The imports are
+    # warmed on another system.
     points = 24001
-    system = build_tridiagonal(partial(v_eff_ho, spec=HOSpec(angular=40.0, frequency=0.5)),
-                               resolved_discretization("ho", 40.0, omega=0.5, points=points))
-    inverse_iteration(system, energy_ho_approx(40.0, 0.5, 0))
+    potential = partial(v_eff_ho, spec=HOSpec(angular=40.0, frequency=0.5))
+    grid = resolved_discretization("ho", 40.0, omega=0.5, points=points)
+    inverse_iteration(build_tridiagonal(potential, grid), energy_ho_approx(40.0, 0.5, 0))
+    system = build_tridiagonal(potential, grid)
+    if warm:
+        inverse_iteration(system, energy_ho_approx(40.0, 0.5, 0))
     tracemalloc.start()
     try:
         result = inverse_iteration(system, energy_ho_approx(40.0, 0.5, 1))
@@ -222,7 +227,7 @@ def test_non_finite_solve_raises_shift_collision(monkeypatch, bad):
     monkeypatch.setattr(eigensolver, "get_lapack_funcs", poisoned)
     with pytest.raises(ShiftCollisionError, match="triangular solve failed"):
         inverse_iteration(system, 0.9)
-    # A solve abandoned mid-sweep leaves nothing behind in the workspace.
+    # A solve abandoned mid-sweep leaves nothing behind in the system's buffers.
     monkeypatch.undo()
     fresh = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
     assert inverse_iteration(system, 0.9) == inverse_iteration(fresh, 0.9)
