@@ -16,8 +16,17 @@ TOBOGGAN_PRECISION overrides the count.  Exit status: 0 success, 1 usage or
 domain error, 2 verification failure.
 
 --config FILE's values go in as --option=value flags right after the
-subcommand, so argparse checks them as typed and flags given later win.
-main() builds the parser once per process, on its first call.
+command's words, so argparse checks them as typed and flags given later win.
+Each figure is its own subcommand with only its own options.  main() builds
+the parser once per process, on its first call.
+
+run(), the process entry point, sets OPENBLAS_NUM_THREADS to 1 unless the
+environment sets it, before numpy or scipy is imported.  OpenBLAS would
+otherwise start, in numpy's copy and in scipy's, one worker thread per
+further core, and those threads spin on CPU time that no command gives
+them work for: the solver's dot products stay on the calling thread
+(eigensolver.blocked_vdot) and gttrf/gttrs are not threaded.  A value the
+user sets wins, and main() called in process leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -91,15 +100,22 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", type=int, default=5)
     _output_options(p)
 
-    p = sub.add_parser("figure", help="emit data behind the survey figures")
-    p.add_argument("which", choices=("fig1", "fig2", "fig3"))
-    p.add_argument("--eps", type=float, default=1.0, help="fig1 contour shift")
+    # Each figure has only its own options, so another figure's is an error.
+    figures = sub.add_parser("figure", help="emit data behind the survey figures"
+                             ).add_subparsers(dest="which", required=True,
+                                              parser_class=_Parser)
+    p = figures.add_parser("fig1", help="the N = 0, 1, 2 contours as N,s,re,im rows")
+    p.add_argument("--eps", type=float, default=1.0, help="contour shift (default 1)")
     p.add_argument("--s-min", type=float, default=-8.0)
     p.add_argument("--s-max", type=float, default=8.0)
     p.add_argument("--count", type=int, default=321)
+    _output_options(p)
+    p = figures.add_parser("fig2", help="rescaled levels F on a log rho grid")
     p.add_argument("--rho-min", type=float, default=1e-8)
     p.add_argument("--rho-max", type=float, default=1e-2)
     p.add_argument("--rho-points", type=int, default=25)
+    _output_options(p)
+    p = figures.add_parser("fig3", help="scaled gaps G/ell^(1/5) on a log ell grid")
     p.add_argument("--ell-min", type=float, default=1e2)
     p.add_argument("--ell-max", type=float, default=1e8)
     p.add_argument("--ell-points", type=int, default=25)
@@ -116,10 +132,14 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=None, help="line shift override")
     p.add_argument("--tol", type=float, default=1e-9)
     _output_options(p, table=False)
-    # Each subcommand's options but --help by dest, for --config.
+    # Each command's options but --help by dest, for --config, keyed by the
+    # command's words ("figure fig1").
+    commands = {**sub.choices, **{f"figure {name}": figure
+                                  for name, figure in figures.choices.items()}}
+    del commands["figure"]
     parser.commands = {name: {action.dest: action for action in command._actions
                               if action.option_strings and action.dest != "help"}
-                       for name, command in sub.choices.items()}
+                       for name, command in commands.items()}
     return parser
 
 
@@ -192,9 +212,9 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
 def _with_config(parser: _Parser, argv: list[str],
                  args: argparse.Namespace) -> list[str]:
     """argv with the config file's values typed in as --option=value words
-    right after the subcommand word, for the options that subcommand has:
-    argparse converts and checks them as typed, and the user's own flags,
-    later in argv, win however they are spelled."""
+    right after the command's words (`figure fig1`), for the options that
+    command has: argparse converts and checks them as typed, and the user's
+    own flags, later in argv, win however they are spelled."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -202,7 +222,8 @@ def _with_config(parser: _Parser, argv: list[str],
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(config, dict):
         parser.error("config file must contain a JSON object")
-    own, words = parser.commands[args.command], []
+    command = args.command if args.command != "figure" else f"figure {args.which}"
+    own, words = parser.commands[command], []
     for key, value in config.items():
         if type(value) not in (str, int, float):  # null, booleans, lists, objects
             parser.error(f"config value of {key!r} is not a string or a number")
@@ -216,10 +237,11 @@ def _with_config(parser: _Parser, argv: list[str],
                              f"(choose from {', '.join(action.choices)})")
         if dest in own:
             words.append(f"{own[dest].option_strings[0]}={value}")
-    at = 0  # the subcommand word: only --config PATH and --config=PATH precede it
+    at = 0  # the command's first word: only --config PATH and --config=PATH precede it
     while argv[at].startswith("-"):
         at += 1 if "=" in argv[at] else 2
-    return [*argv[:at + 1], *words, *argv[at + 1:]]
+    at += len(command.split())  # figure has no option of its own before fig1-3
+    return [*argv[:at], *words, *argv[at:]]
 
 
 def _contour_rows(winding: int, args: argparse.Namespace) -> list[tuple]:
@@ -404,5 +426,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """main() as the entry point of a process: `python -m toboggan.cli` and
+    the `toboggan` script.  Starts OpenBLAS with one thread unless the
+    environment already sets OPENBLAS_NUM_THREADS."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -437,20 +437,77 @@ def test_verify_targets_share_one_level_record(capsys):
     assert report["passed"] is True
 
 
+def _child_env(threads: str | None) -> dict:
+    """This environment with the source tree on the path and
+    OPENBLAS_NUM_THREADS set to threads, or removed for None."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(toboggan.__file__).resolve().parents[1])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
 def test_verify_output_does_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product of more than 10,000 terms over its
     # worker threads, which changes its rounding; this grid is past that.
+    # Unset is the entry point's own default, one thread.
     argv = ["verify", "ho", "--ell", "40", "--omega", "0.5", "--levels", "4",
             "--points", "24001"]
-    src = str(Path(toboggan.__file__).resolve().parents[1])
     outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+    for threads in (None, "1", "2"):
         done = subprocess.run([sys.executable, "-m", "toboggan.cli", *argv],
-                              env=env, check=True, capture_output=True)
+                              env=_child_env(threads), check=True, capture_output=True)
         outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0])["passed"] is True
+
+
+# Runs toboggan.cli as `python -m toboggan.cli` does, then prints the exit
+# code and the number of OS threads the process ends with.
+ENTRY_PROBE = textwrap.dedent("""
+    import os, runpy, sys
+    sys.argv = ["toboggan", *sys.argv[1:], "--output", os.devnull]
+    try:
+        runpy.run_module("toboggan.cli", run_name="__main__")
+    except SystemExit as exc:
+        print(exc.code, len(os.listdir("/proc/self/task")))
+    """)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task (Linux)")
+@pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "user-value"])
+def test_entry_point_starts_openblas_with_one_thread(threads):
+    # Left unset, OpenBLAS would start a worker per further core in numpy's
+    # copy and in scipy's, which verify loads both of; the entry point sets
+    # one thread first.  A value the user sets wins.
+    if threads is not None and (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no worker thread on one CPU")
+    done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, "verify", "ho"],
+                          env=_child_env(threads), check=True, capture_output=True,
+                          text=True)
+    code, count = map(int, done.stdout.split())
+    assert code == 0
+    assert count == 1 if threads is None else count > 1
+
+
+def test_entry_point_sets_the_thread_count_only_when_unset(capsys, monkeypatch):
+    # run() sets a default the user's own value overrides; main() called in
+    # process leaves the environment alone.
+    monkeypatch.setattr(sys, "argv", ["toboggan", "spectrum", "--ell", "4"])
+    for value, after in ((None, "1"), ("3", "3")):
+        if value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert cli.run() == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == after
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    before = dict(os.environ)
+    for argv in (("spectrum", "--ell", "4"), ("verify", "cubic0")):
+        assert run(capsys, *argv)[0] == 0
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("points", [1, 601, 8192])
@@ -515,6 +572,9 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     ({"omega": 2.0}, ("verify", "toboggan1", "--levels", "1"), 1),
     ({"count": 3}, ("contour",), 3),
     ({"count": 3}, ("figure", "fig1"), 9),
+    ({"count": 3, "rho-points": 0}, ("figure", "fig1"), 9),
+    ({"rho-points": 2, "count": 0}, ("figure", "fig2"), 40),
+    ({"ell-points": 2, "rho-points": 0}, ("figure", "fig3"), 8),
     ({"output": 2}, ("spectrum", "--ell", "4"), 5),
     ({"which": "fig2"}, ("figure", "fig3", "--ell-points", "2"), "'which'"),
     ({"target": "ho"}, ("verify", "cubic0"), "'target'"),
@@ -529,7 +589,8 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     ("{", ("spectrum", "--ell", "4"), "config file"),
 ], ids=["abbreviated-flag-wins", "flag-with-equals-wins", "verify-flag-wins",
         "shared-omega-cubic0", "shared-omega-toboggan1",
-        "shared-key-contour", "shared-key-figure", "output-is-a-path",
+        "shared-key-contour", "shared-key-figure", "fig1-key-only",
+        "fig2-key-only", "fig3-key-only", "output-is-a-path",
         "positional-which", "positional-target", "command", "config", "help",
         "levels-not-int", "levels-float", "N-list", "output-null",
         "format-not-a-choice", "not-json"])
@@ -663,6 +724,23 @@ def test_figure_point_count_below_one_is_rejected(capsys, which, flag, count, fm
     code, out, err = run(capsys, "figure", which, flag, count, "--format", fmt)
     assert (code, out) == (1, "")
     assert err == f"toboggan: error: {flag} must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("figure", "fig2", "--eps", "-1"),
+    ("figure", "fig3", "--s-min", "nan"),
+    ("figure", "fig1", "--rho-points", "0"),
+    ("figure", "fig1", "--ell-max", "1e300"),
+    ("figure", "fig2", "--count", "3", "--format", "json"),
+    ("figure", "fig3", "--rho-min", "1e-4"),
+])
+def test_figure_rejects_another_figures_option(capsys, argv):
+    # Each figure parses only its own options, so one meant for another
+    # figure is an error, not a value that is read and then ignored.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("error: ") == 1
+    assert err.splitlines()[-1].startswith("toboggan: error: unrecognized arguments: ")
 
 
 @pytest.mark.parametrize("message, line", [

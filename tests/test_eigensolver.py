@@ -370,9 +370,6 @@ def test_oracle_error_is_the_predicted_error(ell, winding, points):
 # Where the oscillator oracle's error is not the grid's, so that no grid
 # rule can predict it.
 HO_ORACLE_LIMITS = {
-    0.6: "n = 1 is out of regime: the seed energy_ho_approx, 4.04 omega, lies "
-         "nearer the other family's level omega (2l + 3) = 4.2 omega than the "
-         "exact 3.8 omega, so low_lying rejects it",
     (1e8, 301): "n = 1: tol = 1e-9 of |E| = 2e8 omega stops inverse iteration at "
                 "1.73 g_1 (tol = 1e-13 gives 1.00)",
     (1e8, 24001): "g_n = 2e-7 omega is a few ulp of |E| = 2e8 omega: rounding "
@@ -381,10 +378,10 @@ HO_ORACLE_LIMITS = {
 
 
 def _ho_oracle_cases():
-    for ell in (0.05, 0.6, 4.0, 10.0, 60.0, 1e4, 1e8):
+    for ell in (0.05, 4.0, 10.0, 60.0, 1e4, 1e8):
         for omega in (0.25, 2.0, 10.0):
             for points in (301, 6001, 24001):
-                reason = HO_ORACLE_LIMITS.get(ell) or HO_ORACLE_LIMITS.get((ell, points))
+                reason = HO_ORACLE_LIMITS.get((ell, points))
                 marks = [pytest.mark.xfail(reason=reason, strict=True)] if reason else []
                 yield pytest.param(ell, omega, points, marks=marks)
 
@@ -400,6 +397,19 @@ def test_ho_oracle_error_is_the_predicted_grid_error(ell, omega, points):
     grid_errors = truncation_errors("ho", ell, grid.step, count, omega=omega)
     for n, (r, g) in enumerate(zip(results, grid_errors)):
         assert 0 < (r.eigenvalue.real - energy_ho_exact(ell, omega, n)) / g <= 1.05
+
+
+@pytest.mark.parametrize("points", [301, 6001, 24001])
+@pytest.mark.parametrize("omega", [0.25, 2.0, 10.0])
+def test_ho_oracle_rejects_a_level_out_of_regime(monkeypatch, omega, points):
+    # At l = 0.6 the seed of n = 1, energy_ho_approx = 4.04 omega, lies nearer
+    # the other family's level omega (2l + 3) = 4.2 omega than the exact
+    # 3.8 omega, so low_lying rejects it before anything is solved, on every
+    # grid and whatever omega.
+    grid = resolved_discretization("ho", 0.6, omega=omega, points=points)
+    monkeypatch.setattr(eigensolver, "build_tridiagonal", None)  # never reached
+    with pytest.raises(ValueError, match="l = 0.6 is out of regime: the seed of level n = 1"):
+        low_lying("ho", 0.6, 2, omega=omega, grid=grid)
 
 
 def test_truncation_error_hand_value():
