@@ -55,6 +55,7 @@ _EIGENSOLVER_NAMES = frozenset((
     "DegenerateEigenvaluesError",
     "Discretization",
     "EigenResult",
+    "Level",
     "ShiftCollisionError",
     "TridiagonalSystem",
     "build_tridiagonal",

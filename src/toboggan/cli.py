@@ -38,15 +38,11 @@ import os
 import sys
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from . import spectra
 from .contours import WindingContour, sample_path
 from .potentials import check_frequency
 from .spectra import SpectrumTable
-
-if TYPE_CHECKING:
-    from .eigensolver import EigenResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,11 +53,11 @@ SAFETY = 1.25
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; remap to 1."""
+    """argparse exits 2 on usage errors; remap to 1, as `toboggan: error:`."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"toboggan: error: {message}\n")
 
 
 def _digits() -> int:
@@ -320,9 +316,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Solve one target and hold each level to its closed form within SAFETY
     times the predicted error |s_n + g_n|: s_n is the closed form's first
     omitted series term (0 for the oscillator, whose levels are exact) and
-    g_n the grid's truncation_errors on the grid solved on.  Every target
-    writes one report: problem, grid, one record per level, the target's
-    extras and the verdict."""
+    g_n the grid's truncation error on the grid solved on, both from the
+    level's record.  Every target writes one report: problem, grid, one
+    record per level, the target's extras and the verdict."""
     from . import eigensolver  # here, not at the top: it loads numpy
 
     check_frequency(args.omega)  # first, for every target, as ho's HOSpec does
@@ -335,59 +331,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         model, params = "cubic_toboggan", {"winding": winding}
         problem = {"model": model, **params, "ell": ell}
-    # The solve comes first: low_lying rejects more levels than grid points,
-    # and an oscillator level n >= l + 1/2, before a closed form is listed.
     disc = eigensolver.resolved_discretization(
         model, ell, **params, points=args.points, half_width=args.half_width, eps=args.eps)
     try:
-        results = eigensolver.low_lying(model, ell, count, tol=args.tol, grid=disc,
-                                        **params)
+        levels = eigensolver.low_lying(model, ell, count, tol=args.tol, grid=disc, **params)
     except (eigensolver.ShiftCollisionError, eigensolver.DegenerateEigenvaluesError) as exc:
         print(f"toboggan: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    body = {"levels": []}
+    for n, level in enumerate(levels):
+        value = level.eigenvalue
+        tolerance = SAFETY * abs(level.series + level.grid_error)
+        diff = abs(value.real - level.closed_form)
+        within = diff <= tolerance and abs(value.imag) <= tolerance
+        body["levels"].append({
+            "n": n, "seed": level.seed, "eigenvalue": {"re": value.real, "im": value.imag},
+            "residual": level.residual, "iterations": level.iterations,
+            "converged": level.converged, "closed_form": level.closed_form,
+            "abs_diff": diff, "tolerance": tolerance, "pass": level.converged and within})
+    passed = all(record["pass"] for record in body["levels"])
     if winding is None:  # exact levels, seeded at the stationary-point estimate
-        closed = [spectra.energy_ho_exact(ell, args.omega, n) for n in range(count)]
-        seeds = [spectra.energy_ho_approx(ell, args.omega, n) for n in range(count)]
-        series = [0.0] * count
-    else:  # the N-winding levels are the N = 0 levels
-        closed = seeds = [spectra.energy_cubic(ell, n) for n in range(count)]
-        series = [spectra.energy_cubic_correction(ell, n) for n in range(count)]
-    grid_errors = eigensolver.truncation_errors(model, ell, disc.step, count, **params)
-    body = {"levels": [_level_record(n, r, closed[n], seeds[n],
-                                     SAFETY * abs(series[n] + g))
-                       for n, (r, g) in enumerate(zip(results, grid_errors))]}
-    passed = all(level["pass"] for level in body["levels"])
-    if winding is None:
         x = 2.0 * ell + 1.0
         body["approx_minus_exact"] = identity = args.omega * (x - math.sqrt(x * x - 1.0))
-        body["identity_residual"] = residual = max(abs((a - e) - identity)
-                                                   for a, e in zip(seeds, closed))
+        body["identity_residual"] = residual = max(
+            abs((level.seed - level.closed_form) - identity) for level in levels)
         # The residual is the rounding of levels of size omega*(2l+1).
         passed = passed and residual <= 16 * sys.float_info.epsilon * max(
-            1.0, *map(abs, seeds + closed))
+            1.0, *(abs(e) for level in levels for e in (level.seed, level.closed_form)))
     elif winding:  # each level's distance to the paper's winding formula
         body["paper_closed_form"] = paper = [spectra.energy_toboggan(winding, ell, n)
                                              for n in range(count)]
-        body["paper_abs_diff"] = [abs(r.eigenvalue.real - e)
-                                  for r, e in zip(results, paper)]
+        body["paper_abs_diff"] = [abs(level.eigenvalue.real - e)
+                                  for level, e in zip(levels, paper)]
     with _open_output(args.output) as out:
         print(json.dumps({"problem": {"target": args.target, **problem},
                           "grid": {"half_width": disc.half_width, "points": disc.points,
                                    "eps": disc.shift_eps, "step": disc.step},
                           **body, "passed": passed}, indent=2), file=out)
     return EXIT_OK if passed else EXIT_VERIFY
-
-
-def _level_record(n: int, result: EigenResult, closed: float, seed: float,
-                  tolerance: float) -> dict:
-    """One level of a verify report."""
-    value = result.eigenvalue
-    diff = abs(value.real - closed)
-    within = diff <= tolerance and abs(value.imag) <= tolerance
-    return {"n": n, "seed": seed, "eigenvalue": {"re": value.real, "im": value.imag},
-            "residual": result.residual, "iterations": result.iterations,
-            "converged": result.converged, "closed_form": closed, "abs_diff": diff,
-            "tolerance": tolerance, "pass": bool(result.converged and within)}
 
 
 # Per verify target: its winding number (None for the oscillator), and the

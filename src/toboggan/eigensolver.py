@@ -30,7 +30,8 @@ import numpy as np
 from .expansion import tau_general, tau_ho, taylor_ho, taylor_rectified
 from .potentials import HOSpec, v_eff_ho
 from .rectify import build_rectified, rectified_potential, weight
-from .spectra import energy_cubic, energy_ho_approx, energy_ho_exact, gap
+from .spectra import (energy_cubic, energy_cubic_correction, energy_ho_approx,
+                      energy_ho_exact, gap)
 
 
 # OpenBLAS splits a complex dot product of more than 10,000 terms over its
@@ -110,6 +111,18 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class Level(EigenResult):
+    """Level n of low_lying: seed n's run, the closed forms it was seeded at
+    and is held to, the latter's first omitted series term (0 where it is
+    exact), and the 3-point scheme's predicted error on the grid solved on."""
+
+    seed: float
+    closed_form: float
+    series: float
+    grid_error: float
 
 
 class TridiagonalSystem:
@@ -253,29 +266,28 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     return EigenResult(complex(lam), residual, MAX_SWEEPS, False)
 
 
-def truncation_errors(model: str, ell: float, step: float, count: int, *,
-                      winding: int = 0, omega: float = 1.0) -> list[float]:
-    """Leading 3-point error of levels n < count at step h: the symbol
-    k**2 - k**4 h**2/12 moves level n of p**2 + w**2 x**2 by -h**2 <p**4>/12
-    = -(h w)**2 (6n**2+6n+3)/48, with w**2 = sqrt(harmonic) * gap/2."""
-    problem = _problem(model, ell, winding, omega)
-    scale = step * step * math.sqrt(problem.harmonic) / 48.0 * (problem.gap / 2.0)
-    return [-scale * (6 * n * n + 6 * n + 3) for n in range(count)]
-
-
 @dataclass(frozen=True)
 class _Problem:
-    """One oracle problem: evaluators on the grid, the closed-form level
-    seeds and gap, the real harmonic Taylor coefficient at the well, and the
-    automatic grid low_lying solves on when handed none (rule in its
-    docstring)."""
+    """One oracle problem: evaluators on the grid; level n's seed, closed
+    form and series term as in Level; the closed-form gap, the real harmonic
+    Taylor coefficient at the well, and the automatic grid low_lying solves
+    on when handed none (rule in its docstring)."""
 
     potential: Callable
     weight: Callable | None
     seed: Callable[[int], float]
+    closed_form: Callable[[int], float]
+    series: Callable[[int], float]
     gap: float
     harmonic: float
     grid: Discretization
+
+    def grid_error(self, n: int, step: float) -> float:
+        """Leading 3-point error of level n at step h: the symbol
+        k**2 - k**4 h**2/12 moves level n of p**2 + w**2 x**2 by -h**2 <p**4>/12
+        = -(h w)**2 (6n**2+6n+3)/48, with w**2 = sqrt(harmonic) * gap/2."""
+        scale = step * step * math.sqrt(self.harmonic) / 48.0 * (self.gap / 2.0)
+        return -scale * (6 * n * n + 6 * n + 3)
 
 
 def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
@@ -283,7 +295,8 @@ def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
         spec = HOSpec(angular=ell, frequency=omega)
         eps, harmonic, points = tau_ho(spec), taylor_ho(spec).harmonic.real, 6001
         evaluators = (partial(v_eff_ho, spec=spec), None,
-                      lambda n: energy_ho_approx(ell, omega, n), 4.0 * omega)
+                      partial(energy_ho_approx, ell, omega),
+                      partial(energy_ho_exact, ell, omega), lambda n: 0.0, 4.0 * omega)
     elif model == "cubic_toboggan":
         rectified = build_rectified(winding, ell)
         # z = -i(iy)**(2N+1) is an exact change of variables, so the well is
@@ -295,7 +308,8 @@ def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
         harmonic = (taylor_rectified(build_rectified(0, ell)).harmonic
                     * (odd * eps ** (odd - 1)) ** 4).real
         evaluators = (partial(rectified_potential, rectified), partial(weight, rectified),
-                      lambda n: energy_cubic(ell, n), gap(0, ell))
+                      partial(energy_cubic, ell), partial(energy_cubic, ell),
+                      partial(energy_cubic_correction, ell), gap(0, ell))
     else:
         raise ValueError(f"unknown model {model!r}")
     return _Problem(*evaluators, harmonic,
@@ -315,8 +329,8 @@ def resolved_discretization(model: str, ell: float, *, winding: int = 0,
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
               omega: float = 1.0, tol: float = 1e-9,
-              grid: Discretization | None = None) -> list[EigenResult]:
-    """The eigenvalue each closed-form seed n < count converges to, in n order.
+              grid: Discretization | None = None) -> list[Level]:
+    """The Level each closed-form seed n < count converges to, in n order.
 
     Parameters
     ----------
@@ -336,8 +350,8 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
         oscillator, and for the winding problem eps = tau_0**(1/(2N+1)), the
         N = 0 well's preimage.
 
-    Each level is seeded at its closed form: energy_ho_approx for the
-    oscillator, and the N = 0 levels energy_cubic for every winding number.
+    The oscillator's level n is seeded at energy_ho_approx and held to
+    energy_ho_exact; every N's at and to the N = 0 level energy_cubic.
     Before anything is solved, a ValueError rejects more levels than grid
     points, an oscillator level n >= l + 1/2, and an l out of regime: tol
     cannot tell the lowest seed from one gap above it, whatever the count,
@@ -356,13 +370,13 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
     if count > grid.points:
         raise ValueError(f"cannot find {count} levels on {grid.points} grid points: "
                          f"the pencil has {grid.points} eigenvalues")
-    seeds = [complex(problem.seed(n)) for n in range(count)]
-    exact = [energy_ho_exact(ell, omega, n) for n in range(count)] if model == "ho" else []
+    seeds = [problem.seed(n) for n in range(count)]
+    closed = [problem.closed_form(n) for n in range(count)]
     if _too_close(seeds[0], seeds[0] + problem.gap, tol):
         raise ValueError(f"l = {ell:g} is out of regime: tol = {tol:g} cannot "
                          "tell the closed-form levels apart")
-    for n, (seed, own) in enumerate(zip(seeds, exact)):
-        levels = [*exact[:n], own + 4 * omega,  # the rung above may be out of range
+    for n, (seed, own) in enumerate(zip(seeds, closed) if model == "ho" else ()):
+        levels = [*closed[:n], own + 4 * omega,  # the rung above may be out of range
                   *(omega * (4 * m + 3 + 2 * ell) for m in range(n + 2))]
         # r**MAX_SWEEPS > tol multiplied out: a seed on another level has r = inf.
         if abs(seed - own) > tol ** (1 / MAX_SWEEPS) * min(abs(seed - e) for e in levels):
@@ -372,16 +386,18 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
 
     system = build_tridiagonal(problem.potential, grid, problem.weight)
 
-    results: list[EigenResult] = []
+    results: list[Level] = []
     for n in range(count):
         result = _iterate_with_retries(system, seeds[n], tol)
         twin = _duplicate_index(results, result.eigenvalue, tol, problem.gap)
         if twin is not None:
             raise DegenerateEigenvaluesError(
-                f"seeds {seeds[twin]!r} and {seeds[n]!r} both "
+                f"seeds {complex(seeds[twin])!r} and {complex(seeds[n])!r} both "
                 f"converged to {result.eigenvalue!r} (residuals "
                 f"{results[twin].residual:.3e} and {result.residual:.3e})")
-        results.append(result)
+        results.append(Level(**vars(result), seed=seeds[n], closed_form=closed[n],
+                             series=problem.series(n),
+                             grid_error=problem.grid_error(n, grid.step)))
     return results
 
 

@@ -15,7 +15,7 @@ import toboggan
 from toboggan import cli, eigensolver
 from toboggan.cli import main
 from toboggan.contours import WindingContour, sample_path, winding_path
-from toboggan.eigensolver import blocked_vdot, truncation_errors
+from toboggan.eigensolver import Discretization, blocked_vdot, low_lying
 from toboggan.spectra import (
     SpectrumTable,
     energy_cubic,
@@ -36,6 +36,12 @@ def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def _report_grid(report):
+    """The grid a verify report says it solved on."""
+    grid = report["grid"]
+    return Discretization(grid["half_width"], grid["points"], grid["eps"])
 
 
 def test_contour_straight_line(capsys):
@@ -194,11 +200,11 @@ def test_verify_cubic0_passes(capsys, tmp_path):
     assert "calibration" not in report
     # 1.25 times the predicted error: the series' second-order term plus the
     # grid's truncation on the step solved on.
-    grid_errors = truncation_errors("cubic_toboggan", 50.0, report["grid"]["step"], 2)
+    levels = low_lying("cubic_toboggan", 50.0, 2, grid=_report_grid(report))
     for n, level in enumerate(report["levels"]):
         assert level["abs_diff"] <= level["tolerance"]
         assert level["tolerance"] == 1.25 * abs(energy_cubic_correction(50.0, n)
-                                                + grid_errors[n])
+                                                + levels[n].grid_error)
 
 
 @pytest.mark.parametrize("target", ["cubic0", "toboggan1"])
@@ -222,6 +228,23 @@ def test_verify_winding_targets_solve_once(capsys, monkeypatch, target):
     code, _, _ = run(capsys, "verify", target)
     assert code == 0
     assert calls == [("cubic_toboggan", 50.0, 2)]
+
+
+@pytest.mark.parametrize("target", ["cubic0", "toboggan1", "ho"])
+def test_verify_builds_its_problem_at_most_twice(capsys, monkeypatch, target):
+    # One build gives the grid and one the solve; the levels' closed forms,
+    # series terms and grid errors come back with the solve.
+    builds = []
+    build = eigensolver._problem
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(eigensolver, "_problem", counted)
+    code, _, _ = run(capsys, "verify", target)
+    assert code == 0
+    assert 1 <= len(builds) <= 2
 
 
 @pytest.mark.parametrize("error", ["ShiftCollisionError", "DegenerateEigenvaluesError"])
@@ -278,11 +301,11 @@ def test_verify_ho_tolerance_is_the_predicted_grid_error(capsys):
                        "--ell", "4.529846941673305", "--levels", "3")
     assert code == 0
     report = json.loads(out)
-    grid_errors = truncation_errors("ho", 4.529846941673305, report["grid"]["step"], 3,
-                                    omega=0.3048632888327971)
+    levels = low_lying("ho", 4.529846941673305, 3, omega=0.3048632888327971,
+                       grid=_report_grid(report))
     for n, level in enumerate(report["levels"]):
         assert level["abs_diff"] <= level["tolerance"]
-        assert level["tolerance"] == 1.25 * abs(grid_errors[n])
+        assert level["tolerance"] == 1.25 * abs(levels[n].grid_error)
 
 
 @pytest.mark.filterwarnings("error")
@@ -741,6 +764,20 @@ def test_figure_rejects_another_figures_option(capsys, argv):
     assert (code, out) == (1, "")
     assert err.count("error: ") == 1
     assert err.splitlines()[-1].startswith("toboggan: error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("contour", "--count", "x"), "argument --count: invalid int value: 'x'"),
+    (("verify", "ho", "--ell", "x"), "argument --ell: invalid float value: 'x'"),
+    (("figure", "fig2", "--rho-points", "x"), "argument --rho-points: invalid int value: 'x'"),
+], ids=["contour", "verify-ho", "figure-fig2"])
+def test_subcommand_usage_error_is_one_toboggan_error_line(capsys, argv, line):
+    # argparse rejects these values in the subcommand's own parser; the error
+    # line still starts `toboggan: error:`, as every other bad input's does.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("error: ") == 1
+    assert err.splitlines()[-1] == f"toboggan: error: {line}"
 
 
 @pytest.mark.parametrize("message, line", [

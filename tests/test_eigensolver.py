@@ -11,13 +11,14 @@ from toboggan import eigensolver
 from toboggan.eigensolver import (
     DegenerateEigenvaluesError,
     Discretization,
+    EigenResult,
+    Level,
     ShiftCollisionError,
     TridiagonalSystem,
     build_tridiagonal,
     inverse_iteration,
     low_lying,
     resolved_discretization,
-    truncation_errors,
 )
 from toboggan.expansion import tau_general, tau_ho
 from toboggan.potentials import HOSpec, v_eff_ho
@@ -331,7 +332,10 @@ def test_low_lying_user_seed_degeneracy_error(monkeypatch):
     ground = energy_cubic(50.0, 0)
     monkeypatch.setattr(eigensolver, "energy_cubic",
                         lambda ell, n: ground + 0.01 * (n + 1))
-    with pytest.raises(DegenerateEigenvaluesError):
+    # The message, which verify prints, shows the seeds as complex numbers.
+    with pytest.raises(DegenerateEigenvaluesError,
+                       match=r"^seeds \(-211\.10290464810248\+0j\) and "
+                             r"\(-211\.09290464810246\+0j\) both converged to \("):
         low_lying("cubic_toboggan", 50.0, 2)
     monkeypatch.setattr(eigensolver, "energy_ho_approx",
                         lambda ell, omega, n: -18.98 - 0.01 * n)
@@ -361,9 +365,8 @@ def test_oracle_error_is_the_predicted_error(ell, winding, points):
     # truncation account for the oracle's whole error within 5 %.
     grid = resolved_discretization("cubic_toboggan", ell, winding=winding, points=points)
     results = low_lying("cubic_toboggan", ell, 4, winding=winding, grid=grid)
-    grid_errors = truncation_errors("cubic_toboggan", ell, grid.step, 4, winding=winding)
-    for n, (r, g) in enumerate(zip(results, grid_errors)):
-        predicted = energy_cubic_correction(ell, n) + g
+    for n, r in enumerate(results):
+        predicted = energy_cubic_correction(ell, n) + r.grid_error
         assert 0.95 <= (r.eigenvalue.real - energy_cubic(ell, n)) / predicted <= 1.05
 
 
@@ -394,9 +397,8 @@ def test_ho_oracle_error_is_the_predicted_grid_error(ell, omega, points):
     count = min(5, math.ceil(ell + 0.5))
     grid = resolved_discretization("ho", ell, omega=omega, points=points)
     results = low_lying("ho", ell, count, omega=omega, grid=grid)
-    grid_errors = truncation_errors("ho", ell, grid.step, count, omega=omega)
-    for n, (r, g) in enumerate(zip(results, grid_errors)):
-        assert 0 < (r.eigenvalue.real - energy_ho_exact(ell, omega, n)) / g <= 1.05
+    for n, r in enumerate(results):
+        assert 0 < (r.eigenvalue.real - energy_ho_exact(ell, omega, n)) / r.grid_error <= 1.05
 
 
 @pytest.mark.parametrize("points", [301, 6001, 24001])
@@ -416,8 +418,28 @@ def test_truncation_error_hand_value():
     # The oscillator's well is -psi'' + 4 x**2 psi (w = 2, gap 4): level n
     # moves by -(h w)**2 (6n**2 + 6n + 3)/48.
     step = resolved_discretization("ho", 10.0).step
-    assert truncation_errors("ho", 10.0, step, 3) == pytest.approx(
+    assert [level.grid_error for level in low_lying("ho", 10.0, 3)] == pytest.approx(
         [-(2 * step) ** 2 * k / 48 for k in (3, 15, 39)], rel=1e-14)
+
+
+@pytest.mark.parametrize("model, ell, winding, omega", [
+    ("ho", 10.0, 0, 1.0), ("ho", 4.0, 0, 2.5),
+    ("cubic_toboggan", 50.0, 0, 1.0), ("cubic_toboggan", 300.0, 1, 1.0),
+])
+def test_low_lying_levels_carry_their_closed_forms(model, ell, winding, omega):
+    # Each record is an EigenResult with level n's seed, the closed form it is
+    # held to and that form's series term: for ho the stationary-point
+    # estimate, the exact level and 0; for every winding number the N = 0
+    # level, twice, and its next term.
+    for n, level in enumerate(low_lying(model, ell, 3, winding=winding, omega=omega)):
+        assert isinstance(level, Level) and isinstance(level, EigenResult)
+        if model == "ho":
+            assert (level.seed, level.closed_form, level.series) == (
+                energy_ho_approx(ell, omega, n), energy_ho_exact(ell, omega, n), 0.0)
+        else:
+            assert (level.seed, level.closed_form, level.series) == (
+                energy_cubic(ell, n), energy_cubic(ell, n), energy_cubic_correction(ell, n))
+        assert type(level.seed) is float and level.grid_error < 0
 
 
 @pytest.mark.parametrize("ell, tol", [(1e12, 1e-9), (1e30, 1e-9), (50.0, 1e-2),
@@ -469,7 +491,9 @@ def test_low_lying_returns_each_seeds_solve_in_seed_order(monkeypatch):
     monkeypatch.setattr(eigensolver, "_iterate_with_retries", recorded)
     results = low_lying("cubic_toboggan", 1.15, 2, winding=1)
     assert [shift for shift, _ in solves] == [energy_cubic(1.15, n) for n in range(2)]
-    assert results == [result for _, result in solves]
+    # Each record carries its solve's EigenResult fields unchanged.
+    assert [EigenResult(r.eigenvalue, r.residual, r.iterations, r.converged)
+            for r in results] == [result for _, result in solves]
     assert results[1].eigenvalue.real < results[0].eigenvalue.real
 
 
