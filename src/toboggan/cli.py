@@ -17,8 +17,8 @@ domain error, 2 verification failure.
 
 --config FILE's values go in as --option=value flags right after the
 command's words, so argparse checks them as typed and flags given later win.
-Each figure is its own subcommand with only its own options.  main() builds
-the parser once per process, on its first call.
+Each figure and each verify target is its own subcommand with only its own
+options.  main() builds the parser once per process, on its first call.
 
 run(), the process entry point, sets OPENBLAS_NUM_THREADS to 1 unless the
 environment sets it, before numpy or scipy is imported.  OpenBLAS would
@@ -41,7 +41,6 @@ from operator import itemgetter
 
 from . import spectra
 from .contours import WindingContour, sample_path
-from .potentials import check_frequency
 from .spectra import SpectrumTable
 
 EXIT_OK = 0
@@ -96,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", type=int, default=5)
     _output_options(p)
 
-    # Each figure has only its own options, so another figure's is an error.
+    # Each figure or verify target has only its own options: another's is an error.
     figures = sub.add_parser("figure", help="emit data behind the survey figures"
                              ).add_subparsers(dest="which", required=True,
                                               parser_class=_Parser)
@@ -117,25 +116,27 @@ def build_parser() -> _Parser:
     p.add_argument("--ell-points", type=int, default=25)
     _output_options(p)
 
-    p = sub.add_parser("verify", help="finite-difference check against closed forms")
-    p.add_argument("target", choices=tuple(VERIFY_TARGETS))
-    for i, flag, kind in ((1, "--ell", float), (2, "--levels", int)):
-        p.add_argument(flag, type=kind, default=None, help="defaults: " + ", ".join(
-            f"{target} {row[i]:g}" for target, row in VERIFY_TARGETS.items()))
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=None, help="grid points override")
-    p.add_argument("--half-width", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None, help="line shift override")
-    p.add_argument("--tol", type=float, default=1e-9)
-    _output_options(p, table=False)
-    # Each command's options but --help by dest, for --config, keyed by the
-    # command's words ("figure fig1").
-    commands = {**sub.choices, **{f"figure {name}": figure
-                                  for name, figure in figures.choices.items()}}
-    del commands["figure"]
-    parser.commands = {name: {action.dest: action for action in command._actions
-                              if action.option_strings and action.dest != "help"}
-                       for name, command in commands.items()}
+    targets = sub.add_parser("verify", help="finite-difference check against closed forms"
+                             ).add_subparsers(dest="target", required=True,
+                                              parser_class=_Parser)
+    for target, (winding, ell, levels) in VERIFY_TARGETS.items():
+        p = targets.add_parser(target)
+        p.add_argument("--ell", type=float, default=ell, help="default %(default)g")
+        p.add_argument("--levels", type=int, default=levels, help="default %(default)s")
+        if winding is None:  # only the oscillator has a frequency
+            p.add_argument("--omega", type=float, default=1.0)
+        p.add_argument("--points", type=int, default=None, help="grid points override")
+        p.add_argument("--half-width", type=float, default=None)
+        p.add_argument("--eps", type=float, default=None, help="line shift override")
+        p.add_argument("--tol", type=float, default=1e-9)
+        _output_options(p, table=False)
+    # Every command's options but --help, by dest, for --config: an option
+    # that several commands have is the same option in each.
+    parser.options = {action.dest: action
+                      for command in [*sub.choices.values(), *figures.choices.values(),
+                                      *targets.choices.values()]
+                      for action in command._actions
+                      if action.option_strings and action.dest != "help"}
     return parser
 
 
@@ -208,9 +209,9 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[t
 def _with_config(parser: _Parser, argv: list[str],
                  args: argparse.Namespace) -> list[str]:
     """argv with the config file's values typed in as --option=value words
-    right after the command's words (`figure fig1`), for the options that
-    command has: argparse converts and checks them as typed, and the user's
-    own flags, later in argv, win however they are spelled."""
+    right after the command's words (`figure fig1`, `verify ho`), for the
+    options that command has: argparse converts and checks them as typed,
+    and the user's own flags, later in argv, win however they are spelled."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -218,25 +219,24 @@ def _with_config(parser: _Parser, argv: list[str],
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(config, dict):
         parser.error("config file must contain a JSON object")
-    command = args.command if args.command != "figure" else f"figure {args.which}"
-    own, words = parser.commands[command], []
+    own, words = vars(args), []  # what the given command parsed: its options by dest
     for key, value in config.items():
         if type(value) not in (str, int, float):  # null, booleans, lists, objects
             parser.error(f"config value of {key!r} is not a string or a number")
-        dest = key.replace("-", "_")
-        options = [opts[dest] for opts in parser.commands.values() if dest in opts]
-        if not options:
+        action = parser.options.get(key.replace("-", "_"))
+        if action is None:
             parser.error(f"unknown option {key!r} in config file")
-        for action in options:  # argparse's own message would not name the key
-            if action.choices is not None and str(value) not in action.choices:
-                parser.error(f"invalid choice {value!r} for {key!r} in config file "
-                             f"(choose from {', '.join(action.choices)})")
-        if dest in own:
-            words.append(f"{own[dest].option_strings[0]}={value}")
+        # argparse's own message would not name the key.
+        if action.choices is not None and str(value) not in action.choices:
+            parser.error(f"invalid choice {value!r} for {key!r} in config file "
+                         f"(choose from {', '.join(action.choices)})")
+        if action.dest in own:
+            words.append(f"{action.option_strings[0]}={value}")
     at = 0  # the command's first word: only --config PATH and --config=PATH precede it
     while argv[at].startswith("-"):
         at += 1 if "=" in argv[at] else 2
-    at += len(command.split())  # figure has no option of its own before fig1-3
+    while at < len(argv) and not argv[at].startswith("-"):  # its words: verify ho, ...
+        at += 1
     return [*argv[:at], *words, *argv[at:]]
 
 
@@ -321,10 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record per level, the target's extras and the verdict."""
     from . import eigensolver  # here, not at the top: it loads numpy
 
-    check_frequency(args.omega)  # first, for every target, as ho's HOSpec does
-    winding, *defaults = VERIFY_TARGETS[args.target]
-    ell, count = (default if value is None else value
-                  for default, value in zip(defaults, (args.ell, args.levels)))
+    winding, ell, count = VERIFY_TARGETS[args.target][0], args.ell, args.levels
     if winding is None:
         model, params = "ho", {"omega": args.omega}
         problem = {"model": model, "ell": ell, **params}

@@ -77,6 +77,9 @@ def sample_path(contour: WindingContour, s_min: float, s_max: float,
         raise ValueError("s_min and s_max must be finite")
     if not s_min < s_max:
         raise ValueError("need s_min < s_max")
-    s = np.linspace(s_min, s_max, count)
+    try:
+        s = np.linspace(s_min, s_max, count)
+    except (ValueError, IndexError):  # too many to index: numpy raises either, by size
+        raise MemoryError(f"count {count} is too large") from None
     with np.errstate(all="ignore"):
         return PathSamples(s, winding_path(contour.winding_number, contour.shift, s))

@@ -95,7 +95,10 @@ class Discretization:
         return 2.0 * self.half_width / (self.points - 1)
 
     def complex_grid(self) -> np.ndarray:
-        s = np.linspace(-self.half_width, self.half_width, self.points)
+        try:
+            s = np.linspace(-self.half_width, self.half_width, self.points)
+        except (ValueError, IndexError):  # too many to index: numpy raises either
+            raise MemoryError(f"points {self.points} is too large") from None
         return s - 1j * self.shift_eps
 
 

@@ -16,12 +16,6 @@ class SingularPointError(ValueError):
     """A potential was evaluated at its singular point q = 0."""
 
 
-def check_frequency(omega: float) -> None:
-    """Raise ValueError unless omega is finite and positive."""
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive, got omega = {omega:g}")
-
-
 @dataclass(frozen=True)
 class HOSpec:
     """Parameters (l, omega) of the oscillator benchmark."""
@@ -30,7 +24,9 @@ class HOSpec:
     frequency: float = 1.0
 
     def __post_init__(self):
-        check_frequency(self.frequency)
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValueError(
+                f"omega must be finite and positive, got omega = {self.frequency:g}")
         if not (math.isfinite(self.angular) and self.angular >= 0):
             raise ValueError(
                 f"l must be finite and non-negative, got l = {self.angular:g}")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -766,6 +767,41 @@ def test_figure_rejects_another_figures_option(capsys, argv):
     assert err.splitlines()[-1].startswith("toboggan: error: unrecognized arguments: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "cubic0", "--omega", "2"),
+    ("verify", "toboggan1", "--omega", "0.5"),
+    ("verify", "--ell", "10", "ho"),
+    ("verify", "cubic0", "--omega", "-5"),
+    ("verify", "cubic0", "--omega", "inf"),
+    ("verify", "toboggan1", "--omega", "nan"),
+    ("verify", "cubic0", "--ell", "nan", "--omega", "-1"),
+], ids=["cubic0-omega-2", "toboggan1-omega-0.5", "option-before-target",
+        "cubic0-omega-negative", "cubic0-omega-inf", "toboggan1-omega-nan",
+        "cubic0-ell-nan-omega-negative"])
+def test_verify_rejects_another_targets_option(capsys, argv):
+    # Each verify target parses only its own options: the cubic has no
+    # frequency, so --omega there is an error, not a value that is read and
+    # then ignored, and no target takes an option before its name.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("error: ") == 1
+    last = err.splitlines()[-1]
+    if "--omega" in argv:
+        assert last == "toboggan: error: unrecognized arguments: --omega " + argv[-1]
+    else:
+        assert last.startswith("toboggan: error: argument target: invalid choice: ")
+
+
+@pytest.mark.parametrize("target, ell, levels", [("ho", "10", "3"), ("cubic0", "50", "2"),
+                                                 ("toboggan1", "50", "2")])
+def test_verify_help_shows_each_targets_own_defaults(capsys, target, ell, levels):
+    code, out, err = run(capsys, "verify", target, "--help")
+    assert (code, err) == (0, "")
+    assert re.search(rf"--ell ELL +default {ell}\n", out)
+    assert re.search(rf"--levels LEVELS +default {levels}\n", out)
+    assert ("--omega" in out) == (target == "ho")
+
+
 @pytest.mark.parametrize("argv, line", [
     (("contour", "--count", "x"), "argument --count: invalid int value: 'x'"),
     (("verify", "ho", "--ell", "x"), "argument --ell: invalid float value: 'x'"),
@@ -809,6 +845,21 @@ def test_spectrum_level_count_beyond_any_list_is_a_memory_error(capsys):
         SpectrumTable.closed_form(0, 4.0, sys.maxsize + 1)
     assert run(capsys, "spectrum", "--ell", "4", "--levels", str(sys.maxsize + 1)) == (
         1, "", f"toboggan: error: out of memory: levels {sys.maxsize + 1} is too large\n")
+
+
+HUGE = str(10 ** 23)  # above sys.maxsize: rejected before anything is allocated
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("contour", "--count", HUGE), "count"),
+    (("figure", "fig1", "--count", HUGE), "count"),
+    (("figure", "fig3", "--ell-points", HUGE), "--ell-points"),
+    (("verify", "ho", "--points", HUGE), "points"),
+    (("verify", "toboggan1", "--points", HUGE), "points"),
+], ids=["contour", "fig1", "fig3", "verify-ho", "verify-toboggan1"])
+def test_count_beyond_any_array_names_its_flag(capsys, argv, name):
+    assert run(capsys, *argv) == (
+        1, "", f"toboggan: error: out of memory: {name} {HUGE} is too large\n")
 
 
 def _bits(values):
@@ -899,13 +950,8 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     (("verify", "toboggan1", "--ell", "inf"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "-3"), "l must be finite"),
     (("verify", "toboggan1", "--ell", "0"), "need L(L+1) > 0"),
-    # omega applies to ho alone, but a bad one is an error on every target,
-    # named before anything else is checked.
-    (("verify", "cubic0", "--omega", "-5"), "omega must be finite and positive, got omega = -5"),
-    (("verify", "cubic0", "--omega", "inf"), "omega must be finite and positive, got omega = inf"),
-    (("verify", "toboggan1", "--omega", "nan"),
-     "omega must be finite and positive, got omega = nan"),
-    (("verify", "cubic0", "--ell", "nan", "--omega", "-1"), "got omega = -1"),
+    # omega is checked before l.
+    (("verify", "ho", "--ell", "nan", "--omega", "-1"), "got omega = -1"),
     # A 601-point pencil has 601 eigenvalues: rejected before any closed form
     # is listed.
     (("verify", "cubic0", "--levels", "602"), "cannot find 602 levels on 601 grid points"),
@@ -935,8 +981,7 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
         "verify-cubic0-ell-nan", "verify-cubic0-ell-inf",
         "verify-cubic0-ell-negative", "verify-cubic0-ell-0", "verify-toboggan1-ell-nan",
         "verify-toboggan1-ell-inf", "verify-toboggan1-ell-negative", "verify-toboggan1-ell-0",
-        "verify-cubic0-omega-negative", "verify-cubic0-omega-inf", "verify-toboggan1-omega-nan",
-        "verify-cubic0-ell-nan-omega-negative",
+        "verify-ho-ell-nan-omega-negative",
         "verify-cubic0-levels-602", "verify-ho-ell-0.6-levels-3",
         "contour-N-1000", "contour-N-1000-json", "contour-s-max-1e100",
         "contour-s-max-1e100-json"])
