@@ -20,7 +20,11 @@ rounding does not depend on the CPU count.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -42,16 +46,52 @@ DOT_BLOCK = 8192
 MAX_SWEEPS = 200
 
 
-def get_lapack_funcs(names, *args, **kwargs):
-    """scipy.linalg.get_lapack_funcs, with scipy imported on the first call.
+# scipy's compiled LAPACK wrappers: the only part of scipy the solver uses.
+FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy.linalg._flapack, found under scipy's directory and loaded on the
+    first call without importing the scipy or scipy.linalg packages.
+
+    The module goes into sys.modules under its own name, so an `import
+    scipy.linalg` before or after finds it there and the process holds one
+    copy.
+    """
+    module = sys.modules.get(FLAPACK)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+        FLAPACK, [os.path.join(path, "linalg")
+                  for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"the finite-difference solver needs {FLAPACK}: "
+                          "install scipy", name=FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[FLAPACK] = module
+    return module
+
+
+def get_lapack_funcs(names, arrays):
+    """The double-complex LAPACK routines z<name> for each of names, in order,
+    the same objects scipy.linalg.get_lapack_funcs(names, arrays) returns
+    for complex128 arrays (the solver's pencils hold nothing else).
 
     Only the finite-difference oracle factorizes, so the closed-form paths
-    never load scipy.  inverse_iteration looks this name up in the module
-    at every call, so a wrapper put in its place sees every gttrf/gttrs
-    fetch.
+    never load LAPACK.  The routines come straight from scipy's compiled
+    extension (_flapack), not through scipy.linalg: the scipy and
+    scipy.linalg packages' __init__ modules pull in numpy.testing,
+    numpy.random, numpy.f2py and more and cost a cold verify more than its
+    solves, while the extension itself needs only numpy.  inverse_iteration
+    looks this name up in the module at every call, so a wrapper put in its
+    place sees every gttrf/gttrs fetch.
     """
-    from scipy.linalg import get_lapack_funcs as lapack_funcs
-    return lapack_funcs(names, *args, **kwargs)
+    if any(a.dtype != np.complex128 for a in arrays):
+        raise TypeError("the solver's LAPACK routines take complex128 arrays")
+    flapack = _flapack()
+    return tuple(getattr(flapack, "z" + name) for name in names)
 
 
 class ShiftCollisionError(RuntimeError):
@@ -97,7 +137,9 @@ class Discretization:
     def complex_grid(self) -> np.ndarray:
         try:
             s = np.linspace(-self.half_width, self.half_width, self.points)
-        except (ValueError, IndexError):  # too many to index: numpy raises either
+        # too many to index (numpy raises ValueError or IndexError) or to
+        # allocate (numpy's MemoryError names only the shape and dtype)
+        except (ValueError, IndexError, MemoryError):
             raise MemoryError(f"points {self.points} is too large") from None
         return s - 1j * self.shift_eps
 

@@ -862,6 +862,25 @@ def test_count_beyond_any_array_names_its_flag(capsys, argv, name):
         1, "", f"toboggan: error: out of memory: {name} {HUGE} is too large\n")
 
 
+ALLOCATABLE = 10 ** 13  # indexable, but 72 TiB of float64
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("contour", "--count", str(ALLOCATABLE)), "count"),
+    (("verify", "ho", "--points", str(ALLOCATABLE)), "points"),
+], ids=["contour", "verify-ho"])
+def test_count_too_large_to_allocate_names_its_flag(capsys, monkeypatch, argv, name):
+    # numpy's own MemoryError carries (shape, dtype) as its args.  The test
+    # never asks for the memory: with overcommit the allocation could succeed
+    # and then be filled.
+    def exhausted(start, stop, num, *args, **kwargs):
+        raise MemoryError((num,), np.dtype(float))
+
+    monkeypatch.setattr(np, "linspace", exhausted)
+    assert run(capsys, *argv) == (
+        1, "", f"toboggan: error: out of memory: {name} {ALLOCATABLE} is too large\n")
+
+
 def _bits(values):
     return np.array(values, dtype=np.float64).view(np.int64)
 
@@ -1004,18 +1023,23 @@ def test_grid_that_overflows_the_potential_is_named(capsys, argv, grid):
     assert grid in err and "points = " in err
 
 
-# Runs one command, or imports low_lying, in a fresh interpreter and prints
-# the exit code (or low_lying's module) and whether numpy and scipy were
-# loaded after `import toboggan`, after `import toboggan.cli` and at the end.
+# Runs one command, or imports and calls low_lying, in a fresh interpreter
+# and prints the exit code (or low_lying's module) and which of numpy, the
+# scipy and scipy.linalg packages and scipy's LAPACK extension were loaded
+# after `import toboggan`, after `import toboggan.cli` (or after importing
+# low_lying) and at the end.
 IMPORT_PROBE = textwrap.dedent("""
     import json, os, sys
     def loaded():
-        return ["numpy" in sys.modules, "scipy" in sys.modules]
+        return [name in sys.modules for name in
+                ("numpy", "scipy", "scipy.linalg", "scipy.linalg._flapack")]
     import toboggan
     seen = [loaded()]
     if sys.argv[1:] == ["low_lying"]:
         from toboggan import low_lying
+        seen.append(loaded())
         result = low_lying.__module__
+        low_lying("ho", 10.0, 1)
     else:
         import toboggan.cli
         seen.append(loaded())
@@ -1026,21 +1050,24 @@ IMPORT_PROBE = textwrap.dedent("""
 
 def test_closed_form_commands_never_load_scipy():
     # Fresh interpreters, so that no earlier test has imported numpy or scipy.
-    # Only the solver (verify, low_lying) loads numpy at import and scipy when
-    # it factorizes; contours load numpy to sample, the closed forms never.
+    # Only the solver (verify, low_lying) loads numpy at import and scipy's
+    # LAPACK extension, never the scipy or scipy.linalg package, when it
+    # factorizes; contours load numpy to sample, the closed forms never.
     src = str(Path(toboggan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    nothing, numpy_only, both = [False, False], [True, False], [True, True]
+    nothing = [False, False, False, False]
+    numpy_only = [True, False, False, False]
+    lapack = [True, False, False, True]
     cases = [(["spectrum", "--ell", "4"], nothing),
              (["figure", "fig2", "--rho-points", "2"], nothing),
              (["figure", "fig3", "--ell-points", "2"], nothing),
              (["contour", "--count", "3"], numpy_only),
              (["figure", "fig1", "--count", "3"], numpy_only),
-             (["verify", "ho"], both)]
+             (["verify", "ho"], lapack)]
     for argv, after in cases:
         done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
                               check=True, capture_output=True, text=True)
         assert json.loads(done.stdout) == [0, nothing, nothing, after], argv
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "low_lying"], env=env,
                           check=True, capture_output=True, text=True)
-    assert json.loads(done.stdout) == ["toboggan.eigensolver", nothing, numpy_only]
+    assert json.loads(done.stdout) == ["toboggan.eigensolver", nothing, numpy_only, lapack]

@@ -1,6 +1,13 @@
+import importlib.machinery
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,3 +557,66 @@ def test_resolved_discretization_overrides():
     assert disc.shift_eps == 2.5
     default = resolved_discretization("cubic_toboggan", 50.0, winding=1)
     assert default.shift_eps == pytest.approx(tau_general(0, 50.0) ** (1 / 3), rel=1e-15)
+
+
+# Loads LAPACK through eigensolver and through scipy.linalg in a fresh
+# interpreter, in the order given, and prints whether each routine is the
+# same object and how many modules named scipy.linalg._flapack there are.
+LAPACK_PROBE = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    from toboggan import eigensolver
+    arrays = (np.zeros(3, complex),)
+    fetched = {}
+    for who in sys.argv[1:]:
+        if who == "toboggan":
+            fetched[who] = eigensolver.get_lapack_funcs(("gttrf", "gttrs"), arrays)
+        else:
+            import scipy.linalg
+            fetched[who] = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), arrays)
+    same = [a is b for a, b in zip(fetched["toboggan"], fetched["scipy"])]
+    copies = [m for m in sys.modules.values()
+              if getattr(m, "__name__", None) == eigensolver.FLAPACK]
+    print(json.dumps([same, len(copies),
+                      copies[0] is sys.modules[eigensolver.FLAPACK]]))
+    """)
+
+
+@pytest.mark.parametrize("order", [("toboggan", "scipy"), ("scipy", "toboggan")],
+                         ids=["toboggan-first", "scipy-first"])
+def test_lapack_routines_are_scipys_own_in_either_import_order(order):
+    # get_lapack_funcs loads scipy's extension without scipy.linalg; either
+    # import order must leave one module and hand out scipy's very routines.
+    # A scipy release that moves the module fails here.
+    src = str(Path(eigensolver.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", LAPACK_PROBE, *order],
+                          env={**os.environ, "PYTHONPATH": src},
+                          check=True, capture_output=True, text=True)
+    assert json.loads(done.stdout) == [[True, True], 1, True]
+
+
+@pytest.mark.parametrize("missing", ["scipy", "extension"])
+def test_missing_lapack_extension_is_an_import_error_naming_it(monkeypatch, missing):
+    monkeypatch.delitem(sys.modules, eigensolver.FLAPACK, raising=False)
+    if missing == "scipy":
+        monkeypatch.setitem(sys.modules, "scipy", None)  # find_spec then finds none
+    else:
+        find_spec = importlib.machinery.PathFinder.find_spec
+        searched = []
+
+        def scipy_without_extension(cls, name, path=None, target=None):
+            searched.append(name)
+            return None if name == eigensolver.FLAPACK else find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(scipy_without_extension))
+    with pytest.raises(ImportError, match="scipy.linalg._flapack") as raised:
+        eigensolver.get_lapack_funcs(("gttrf",), (np.zeros(3, complex),))
+    assert raised.value.name == eigensolver.FLAPACK
+    if missing == "extension":
+        assert searched[-1] == eigensolver.FLAPACK
+
+
+def test_lapack_routines_take_complex128_only():
+    with pytest.raises(TypeError, match="complex128"):
+        eigensolver.get_lapack_funcs(("gttrf",), (np.zeros(3),))
