@@ -19,6 +19,9 @@ domain error, 2 verification failure.
 command's words, so argparse checks them as typed and flags given later win.
 Each figure and each verify target is its own subcommand with only its own
 options.  main() builds the parser once per process, on its first call.
+Each command has one size option (--count, --rho-points, --ell-points,
+spectrum's --levels or verify's --points): main() alone reports one too
+large to build, above MAX_COUNT or failing to allocate, in one line naming it.
 
 run(), the process entry point, sets OPENBLAS_NUM_THREADS to 1 unless the
 environment sets it, before numpy or scipy is imported.  OpenBLAS would
@@ -85,14 +88,14 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1.0, help="downward shift (default 1)")
     p.add_argument("--s-min", type=float, default=-8.0)
     p.add_argument("--s-max", type=float, default=8.0)
-    p.add_argument("--count", type=int, default=321, help="number of samples (>= 2)")
+    _size_option(p, "--count", default=321, help="number of samples (>= 2)")
     _output_options(p)
 
     p = sub.add_parser("spectrum", help="closed-form levels E, F, G at fixed N, ell")
     p.add_argument("--N", type=int, default=0)
     p.add_argument("--ell", type=float, default=None,
                    help="angular momentum (required, here or in the config file)")
-    p.add_argument("--levels", type=int, default=5)
+    _size_option(p, "--levels", default=5)
     _output_options(p)
 
     # Each figure or verify target has only its own options: another's is an error.
@@ -103,17 +106,17 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1.0, help="contour shift (default 1)")
     p.add_argument("--s-min", type=float, default=-8.0)
     p.add_argument("--s-max", type=float, default=8.0)
-    p.add_argument("--count", type=int, default=321)
+    _size_option(p, "--count", default=321)
     _output_options(p)
     p = figures.add_parser("fig2", help="rescaled levels F on a log rho grid")
     p.add_argument("--rho-min", type=float, default=1e-8)
     p.add_argument("--rho-max", type=float, default=1e-2)
-    p.add_argument("--rho-points", type=int, default=25)
+    _size_option(p, "--rho-points", default=25)
     _output_options(p)
     p = figures.add_parser("fig3", help="scaled gaps G/ell^(1/5) on a log ell grid")
     p.add_argument("--ell-min", type=float, default=1e2)
     p.add_argument("--ell-max", type=float, default=1e8)
-    p.add_argument("--ell-points", type=int, default=25)
+    _size_option(p, "--ell-points", default=25)
     _output_options(p)
 
     targets = sub.add_parser("verify", help="finite-difference check against closed forms"
@@ -125,7 +128,7 @@ def build_parser() -> _Parser:
         p.add_argument("--levels", type=int, default=levels, help="default %(default)s")
         if winding is None:  # only the oscillator has a frequency
             p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--points", type=int, default=None, help="grid points override")
+        _size_option(p, "--points", default=None, help="grid points override")
         p.add_argument("--half-width", type=float, default=None)
         p.add_argument("--eps", type=float, default=None, help="line shift override")
         p.add_argument("--tol", type=float, default=1e-9)
@@ -138,6 +141,11 @@ def build_parser() -> _Parser:
                       for action in command._actions
                       if action.option_strings and action.dest != "help"}
     return parser
+
+
+def _size_option(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add the one option that sizes what p's command builds, for main()."""
+    p.set_defaults(size=p.add_argument(flag, type=int, **kwargs).dest)
 
 
 def _output_options(p: argparse.ArgumentParser, table: bool = True) -> None:
@@ -278,10 +286,7 @@ def _log_grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
         top = 10.0 ** b
     except OverflowError:  # hi within rounding of the largest float
         raise ValueError(f"10**log10({hi!r}) overflows") from None
-    try:
-        grid = [top] * count  # one allocation: a count too large fails here, at once
-    except OverflowError:  # count above sys.maxsize
-        raise MemoryError(f"{flag} {count} is too large") from None
+    grid = [top] * count  # one allocation: a count too large fails here, at once
     step = (b - a) / (count - 1)
     for i in range(count - 1):
         grid[i] = 10.0 ** (i * step + a)
@@ -377,6 +382,8 @@ VERIFY_TARGETS = {"ho": (None, 10.0, 3),
 
 _parser: _Parser | None = None  # built by the first main() call
 
+MAX_COUNT = sys.maxsize // 16  # numpy cannot index more complex128 items than this
+
 
 def main(argv: list[str] | None = None) -> int:
     global _parser
@@ -389,7 +396,10 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser.parse_args(_with_config(_parser, argv, args))
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
+    size = getattr(args, args.size)  # None only for verify's automatic grid
     try:
+        if size is not None and size > MAX_COUNT:
+            raise MemoryError  # before anything is built
         # By name at call time, so a wrapper patched onto a cmd_* applies.
         return globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:
@@ -399,8 +409,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"toboggan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # a table too large to build
-        print("toboggan: error: out of memory", *exc.args, sep=": ", file=sys.stderr)
+    except MemoryError:  # whatever failed to allocate, the size option asked for it
+        flag = "--" + args.size.replace("_", "-")
+        named = "" if size is None else f": {flag} {size} is too large"
+        print(f"toboggan: error: out of memory{named}", file=sys.stderr)
         return EXIT_USAGE
 
 

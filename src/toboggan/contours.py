@@ -77,11 +77,6 @@ def sample_path(contour: WindingContour, s_min: float, s_max: float,
         raise ValueError("s_min and s_max must be finite")
     if not s_min < s_max:
         raise ValueError("need s_min < s_max")
-    try:
-        s = np.linspace(s_min, s_max, count)
-    # too many to index (numpy raises ValueError or IndexError, by size) or
-    # to allocate (numpy's MemoryError names only the shape and dtype)
-    except (ValueError, IndexError, MemoryError):
-        raise MemoryError(f"count {count} is too large") from None
+    s = np.linspace(s_min, s_max, count)
     with np.errstate(all="ignore"):
         return PathSamples(s, winding_path(contour.winding_number, contour.shift, s))

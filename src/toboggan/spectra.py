@@ -150,10 +150,7 @@ class SpectrumTable:
         spacing = gap(winding_number, ell)
         rho = density_parameter(ell)
         scale = rho ** 0.6  # scale * E is rescaled_level, bit for bit
-        try:
-            entries = [None] * levels  # one allocation: too many levels fail at once
-        except OverflowError:  # levels above sys.maxsize
-            raise MemoryError(f"levels {levels} is too large") from None
+        entries = [None] * levels  # one allocation: too many levels fail at once
         for n in range(levels):
             energy = energy_toboggan(winding_number, ell, n)
             entries[n] = SpectrumEntry(int(winding_number), float(ell), n, energy,

@@ -487,6 +487,20 @@ def test_verify_output_does_not_depend_on_blas_threads():
     assert json.loads(outputs[0])["passed"] is True
 
 
+def test_a_closed_pipe_ends_the_run_quietly():
+    # As in `toboggan contour --count 200000 | head -1`: the reader leaves
+    # after one line, with most of the table still to come, and the writer
+    # exits 0 with nothing on stderr.
+    argv = [sys.executable, "-m", "toboggan.cli", "contour", "--count", "200000"]
+    with subprocess.Popen(argv, env=_child_env(None), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"s,re,im\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (0, b"")
+
+
 # Runs toboggan.cli as `python -m toboggan.cli` does, then prints the exit
 # code and the number of OS threads the process ends with.
 ENTRY_PROBE = textwrap.dedent("""
@@ -611,13 +625,14 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     ({"output": None}, ("spectrum", "--ell", "4"), "'output'"),
     ({"format": "xml"}, ("spectrum", "--ell", "4"), "'format'"),
     ("{", ("spectrum", "--ell", "4"), "config file"),
+    ([{"levels": 2}], ("spectrum", "--ell", "4"), "must contain a JSON object"),
 ], ids=["abbreviated-flag-wins", "flag-with-equals-wins", "verify-flag-wins",
         "shared-omega-cubic0", "shared-omega-toboggan1",
         "shared-key-contour", "shared-key-figure", "fig1-key-only",
         "fig2-key-only", "fig3-key-only", "output-is-a-path",
         "positional-which", "positional-target", "command", "config", "help",
         "levels-not-int", "levels-float", "N-list", "output-null",
-        "format-not-a-choice", "not-json"])
+        "format-not-a-choice", "not-json", "json-array"])
 def test_config_values_parse_like_flags(capsys, monkeypatch, tmp_path, config,
                                         argv, expect):
     # A config value is read as if typed: argparse converts and checks it,
@@ -816,69 +831,134 @@ def test_subcommand_usage_error_is_one_toboggan_error_line(capsys, argv, line):
     assert err.splitlines()[-1] == f"toboggan: error: {line}"
 
 
-@pytest.mark.parametrize("message, line", [
-    ((), "toboggan: error: out of memory\n"),
-    (("--rho-points 100000000000",),
-     "toboggan: error: out of memory: --rho-points 100000000000\n"),
-])
-def test_out_of_memory_is_one_error_line(capsys, monkeypatch, message, line):
-    # The grid builder stands in for an allocation that fails: a test must
-    # never really ask for the memory.
-    def exhausted(*args):
-        raise MemoryError(*message)
-
-    monkeypatch.setattr(cli, "_log_grid", exhausted)
-    code, out, err = run(capsys, "figure", "fig2", "--rho-points", "100000000000")
-    assert (code, out, err) == (1, "", line)
+# Every command with its one size option, the option main() names when what
+# the command builds is too large.
+SIZED = {"contour": (("contour",), "--count"),
+         "fig1": (("figure", "fig1"), "--count"),
+         "fig2": (("figure", "fig2"), "--rho-points"),
+         "fig3": (("figure", "fig3"), "--ell-points"),
+         "spectrum": (("spectrum", "--ell", "4"), "--levels"),
+         "verify-ho": (("verify", "ho"), "--points"),
+         "verify-cubic0": (("verify", "cubic0"), "--points"),
+         "verify-toboggan1": (("verify", "toboggan1"), "--points")}
 
 
-def test_grid_count_beyond_any_list_is_a_memory_error():
-    # Above sys.maxsize the list cannot even be asked for, so nothing is allocated.
-    with pytest.raises(MemoryError, match="--ell-points"):
+def out_of_memory(flag, count):
+    """main()'s result for a count of flag too large to build."""
+    return 1, "", f"toboggan: error: out of memory: {flag} {count} is too large\n"
+
+
+def exhausted_by(args):
+    """A stand-in for an allocation that fails, raising MemoryError(*args):
+    a test must never really ask for the memory, since with overcommit the
+    allocation can succeed and then be filled."""
+    def exhausted(*_, **__):
+        raise MemoryError(*args)
+    return exhausted
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("figure", "fig2", "--rho-points", "100000000000"),
+     "toboggan: error: out of memory: --rho-points 100000000000 is too large\n"),
+    (("verify", "ho"), "toboggan: error: out of memory\n"),  # the automatic grid
+], ids=["named", "unset"])
+@pytest.mark.parametrize("message", [(), ((20000,), np.dtype(complex)), ("text",)],
+                         ids=["bare", "numpy", "text"])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, message, argv, line):
+    # Whatever the MemoryError carries, the line names the size option and
+    # its value, or names none when verify's --points is left unset.
+    monkeypatch.setattr(cli, "_log_grid", exhausted_by(message))
+    monkeypatch.setattr(eigensolver, "build_tridiagonal", exhausted_by(message))
+    assert run(capsys, *argv) == (1, "", line)
+
+
+def test_grid_count_beyond_any_list_is_a_memory_error(capsys, monkeypatch):
+    # Above sys.maxsize the list cannot even be asked for: the library gives
+    # Python's own error, and the CLI never calls it.
+    with pytest.raises(OverflowError):
         cli._log_grid(1.0, 10.0, sys.maxsize + 1, "--ell-points")
+    monkeypatch.setattr(cli, "_log_grid", lambda *args: pytest.fail("grid built"))
+    assert run(capsys, "figure", "fig3", "--ell-points", str(sys.maxsize + 1)) == (
+        out_of_memory("--ell-points", sys.maxsize + 1))
 
 
-def test_spectrum_level_count_beyond_any_list_is_a_memory_error(capsys):
+def test_spectrum_level_count_beyond_any_list_is_a_memory_error(capsys, monkeypatch):
     # As for _log_grid: the list of entries is asked for in one step, before
     # any level is computed, and above sys.maxsize it cannot be asked for.
-    with pytest.raises(MemoryError, match="levels"):
+    with pytest.raises(OverflowError):
         SpectrumTable.closed_form(0, 4.0, sys.maxsize + 1)
+    monkeypatch.setattr(SpectrumTable, "closed_form",
+                        lambda *args: pytest.fail("table built"))
     assert run(capsys, "spectrum", "--ell", "4", "--levels", str(sys.maxsize + 1)) == (
-        1, "", f"toboggan: error: out of memory: levels {sys.maxsize + 1} is too large\n")
+        out_of_memory("--levels", sys.maxsize + 1))
 
 
-HUGE = str(10 ** 23)  # above sys.maxsize: rejected before anything is allocated
+HUGE = 10 ** 23  # above sys.maxsize: rejected before anything is allocated
 
 
-@pytest.mark.parametrize("argv, name", [
-    (("contour", "--count", HUGE), "count"),
-    (("figure", "fig1", "--count", HUGE), "count"),
-    (("figure", "fig3", "--ell-points", HUGE), "--ell-points"),
-    (("verify", "ho", "--points", HUGE), "points"),
-    (("verify", "toboggan1", "--points", HUGE), "points"),
-], ids=["contour", "fig1", "fig3", "verify-ho", "verify-toboggan1"])
-def test_count_beyond_any_array_names_its_flag(capsys, argv, name):
-    assert run(capsys, *argv) == (
-        1, "", f"toboggan: error: out of memory: {name} {HUGE} is too large\n")
+@pytest.mark.parametrize("command", list(SIZED))
+def test_count_beyond_any_array_names_its_flag(capsys, monkeypatch, command):
+    # Above MAX_COUNT main() reports the count before the command starts;
+    # at the cap itself the command runs.
+    words, flag = SIZED[command]
+    for name in ("cmd_contour", "cmd_spectrum", "cmd_figure", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("command started"))
+    assert cli.MAX_COUNT == sys.maxsize // 16
+    for count in (cli.MAX_COUNT + 1, HUGE, 10 ** 30):
+        assert run(capsys, *words, flag, str(count)) == out_of_memory(flag, count)
+    started = []
+    for name in ("cmd_contour", "cmd_spectrum", "cmd_figure", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda args: started.append(args) or 0)
+    assert run(capsys, *words, flag, str(cli.MAX_COUNT)) == (0, "", "")
+    assert len(started) == 1
 
 
 ALLOCATABLE = 10 ** 13  # indexable, but 72 TiB of float64
 
+# The first allocation each command makes of its count: numpy's linspace,
+# whose MemoryError carries the shape and dtype, or the one-allocation list
+# of fig2/fig3's grid and spectrum's entries, whose MemoryError carries
+# nothing, stood in for by the function that asks for it.
+FIRST_ALLOCATION = {"fig2": (cli, "_log_grid"), "fig3": (cli, "_log_grid"),
+                    "spectrum": (SpectrumTable, "closed_form")}
 
-@pytest.mark.parametrize("argv, name", [
-    (("contour", "--count", str(ALLOCATABLE)), "count"),
-    (("verify", "ho", "--points", str(ALLOCATABLE)), "points"),
-], ids=["contour", "verify-ho"])
-def test_count_too_large_to_allocate_names_its_flag(capsys, monkeypatch, argv, name):
-    # numpy's own MemoryError carries (shape, dtype) as its args.  The test
-    # never asks for the memory: with overcommit the allocation could succeed
-    # and then be filled.
-    def exhausted(start, stop, num, *args, **kwargs):
-        raise MemoryError((num,), np.dtype(float))
 
-    monkeypatch.setattr(np, "linspace", exhausted)
-    assert run(capsys, *argv) == (
-        1, "", f"toboggan: error: out of memory: {name} {ALLOCATABLE} is too large\n")
+@pytest.mark.parametrize("command", list(SIZED))
+def test_count_too_large_to_allocate_names_its_flag(capsys, monkeypatch, command):
+    words, flag = SIZED[command]
+    owner, name = FIRST_ALLOCATION.get(command, (np, "linspace"))
+    args = () if owner is not np else ((ALLOCATABLE,), np.dtype(float))
+    monkeypatch.setattr(owner, name, exhausted_by(args))
+    assert run(capsys, *words, flag, str(ALLOCATABLE)) == out_of_memory(flag, ALLOCATABLE)
+
+
+# An allocation after the first, for a count that really fits: the solver's
+# buffers (np.empty), the contour's complex power, a row of a closed-form table.
+LATER_ALLOCATION = {"contour": ("toboggan.contours", "ipow"),
+                    "fig1": ("toboggan.contours", "ipow"),
+                    "fig2": ("toboggan.spectra", "rescaled_level"),
+                    "fig3": ("toboggan.spectra", "gap"),
+                    "spectrum": ("toboggan.spectra", "SpectrumEntry"),
+                    "verify-ho": ("numpy", "empty"),
+                    "verify-cubic0": ("numpy", "empty"),
+                    "verify-toboggan1": ("numpy", "empty")}
+
+
+@pytest.mark.parametrize("command", list(SIZED))
+def test_count_that_fails_a_later_allocation_names_its_flag(capsys, monkeypatch, command):
+    words, flag = SIZED[command]
+    module, name = LATER_ALLOCATION[command]
+    calls = []
+
+    def exhausted(*args, **kwargs):
+        calls.append(name)
+        if module == "toboggan.spectra":
+            raise MemoryError()  # a list that cannot grow carries nothing
+        raise MemoryError((20001,), np.dtype(complex))
+
+    monkeypatch.setattr(f"{module}.{name}", exhausted)
+    assert run(capsys, *words, flag, "20001") == out_of_memory(flag, 20001)
+    assert calls == [name]
 
 
 def _bits(values):

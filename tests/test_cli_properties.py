@@ -6,13 +6,17 @@ most of them its own, so that both the working paths and the usage errors
 are reached.  Exit 0 must print only finite numbers and nothing on stderr;
 exit 1 must print nothing on stdout and exactly one `toboggan: error:` line;
 exit 2, a verification failure, is allowed for verify alone.  Counts are
-bounded so that no example builds a large table or grid.
+drawn small, so that no example builds a large table or grid, or above
+cli.MAX_COUNT, where main() ends the run in one line naming the count's
+option before anything is built.  Counts in between could really allocate
+and are not drawn.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -28,6 +32,9 @@ COMMANDS = {words: sorted(dest for dest in vars(PARSER.parse_args(words.split())
                           if dest in FLAGS)
             for words in ["contour", "spectrum", "figure fig1", "figure fig2", "figure fig3",
                           *(f"verify {target}" for target in cli.VERIFY_TARGETS)]}
+# Each command's one size option, by dest.
+SIZE = {words: PARSER.parse_args(words.split()).size for words in COMMANDS}
+ABOVE_CAP = st.integers(cli.MAX_COUNT + 1, 10 ** 30)
 
 # The largest value drawn for each integer option; the smallest is -2.
 INT_MAX = {"count": 1000, "rho_points": 1000, "ell_points": 1000, "points": 2001,
@@ -45,7 +52,8 @@ def _values(dest):
     if action.choices is not None:
         return st.sampled_from([*action.choices, "xml"])
     if action.type is int:
-        return st.integers(-2, INT_MAX[dest]).map(str) | st.sampled_from(["x", "1.5"])
+        small = st.integers(-2, INT_MAX[dest]).map(str) | st.sampled_from(["x", "1.5"])
+        return (small | ABOVE_CAP.map(str)) if dest in SIZE.values() else small
     if action.type is float:
         return FLOATS
     return st.just(None)  # --output: a file in the example's own directory
@@ -97,21 +105,28 @@ def _numbers(text):
             yield float(item)
 
 
+def _argv(words, options, config, output):
+    """argv for the command words with the (dest, value) options as flags
+    and the config pairs in a --config file beside output; a None value is
+    the path output."""
+    argv = words.split()
+    if config:
+        path = output.with_name("config.json")
+        path.write_text(json.dumps({dest: str(output) if value is None else value
+                                    for dest, value in config.items()}))
+        argv = ["--config", str(path), *argv]
+    for dest, value in options:
+        argv += [FLAGS[dest].option_strings[0], str(output) if value is None else value]
+    return argv
+
+
 @settings(max_examples=150, deadline=None)
 @given(invocations())
 def test_every_command_exits_0_1_or_2_with_the_same_bytes_each_run(invocation):
     words, options, config = invocation
     with tempfile.TemporaryDirectory() as folder:
         output = Path(folder, "out")
-        argv = words.split()
-        if config:
-            path = Path(folder, "config.json")
-            path.write_text(json.dumps({dest: str(output) if value is None else value
-                                        for dest, value in config.items()}))
-            argv = ["--config", str(path), *argv]
-        for dest, value in options:
-            flag = FLAGS[dest].option_strings[0]
-            argv += [flag, str(output) if value is None else value]
+        argv = _argv(words, options, config, output)
         runs = []
         for _ in range(2):
             code, out, err = _run(argv)
@@ -132,3 +147,40 @@ def test_every_command_exits_0_1_or_2_with_the_same_bytes_each_run(invocation):
         assert sum(line.startswith("toboggan: error:") for line in lines) == 1, argv
     else:
         assert code == 2 and words.startswith("verify "), argv
+
+
+def _parses(value):
+    """Whether argparse takes value after a flag: a word that starts with "-"
+    is read as another flag unless it looks like a negative number."""
+    return value not in ("x", "1.5", "xml") and (
+        value is None or not value.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", value))
+
+
+# A value argparse takes for each option: a bad one would end the run at
+# parsing, before main() looks at the count.
+PARSEABLE = {dest: _values(dest).filter(_parses) for dest in FLAGS}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(COMMANDS)), st.data())
+def test_a_count_above_the_cap_is_one_line_naming_its_option(words, data):
+    # Whatever the other options say, a size above the cap, on the command
+    # line or in a config file, ends the run before the command builds or
+    # writes anything.
+    size = SIZE[words]
+    dests = data.draw(st.lists(st.sampled_from([dest for dest in COMMANDS[words]
+                                                if dest != size]), max_size=4))
+    options = [(dest, data.draw(PARSEABLE[dest])) for dest in dests]
+    count = data.draw(ABOVE_CAP)
+    config = {}
+    if data.draw(st.booleans()):
+        config[size] = count
+    else:
+        options.append((size, str(count)))
+    with tempfile.TemporaryDirectory() as folder:
+        output = Path(folder, "out")
+        code, out, err = _run(_argv(words, options, config, output))
+        assert not output.exists()
+    flag = FLAGS[size].option_strings[0]
+    assert (code, out, err) == (
+        1, "", f"toboggan: error: out of memory: {flag} {count} is too large\n")

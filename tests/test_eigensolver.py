@@ -125,6 +125,29 @@ def test_shift_collision_raises_and_perturbation_recovers():
     assert result == inverse_iteration(_three_point_system(), 2.0 * (1.0 + 1e-6))
 
 
+def test_a_singular_shift_is_nudged_until_the_solve_converges(monkeypatch):
+    # 2 is an eigenvalue of tridiag(-1, 2, -1): gttrf finds a zero pivot in
+    # A - 2B, and the retry moves the shift up by 1e-6 * |shift|.
+    system = TridiagonalSystem(np.full(3, 2 + 0j), -1 + 0j, np.ones(3, complex))
+    shifts = []
+    solve = eigensolver.inverse_iteration
+    monkeypatch.setattr(eigensolver, "inverse_iteration",
+                        lambda system, shift, tol: shifts.append(shift)
+                        or solve(system, shift, tol=tol))
+    result = eigensolver._iterate_with_retries(system, 2.0, 1e-9)
+    assert shifts == [2.0, 2.000002]
+    assert (result.converged, result.iterations) == (True, 5)
+    assert result.eigenvalue == pytest.approx(2.0, rel=1e-12)
+
+
+def test_package_loads_the_solvers_names_on_first_use():
+    import toboggan
+
+    assert toboggan.low_lying is eigensolver.low_lying
+    with pytest.raises(AttributeError, match="no_such_name"):
+        toboggan.no_such_name
+
+
 def test_workspace_carries_no_state_between_calls():
     # Every call refills the system's buffers, so the order in which one
     # system's levels are solved cannot change a bit of any of them.  A

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fd_taylor, rel_err
 from toboggan.expansion import (
+    TaylorExpansion,
     cubic_correction_exponent,
     harmonic_frequency,
     mu_coefficient,
@@ -236,6 +237,18 @@ def test_rescale_warns_outside_asymptotic_regime():
     expansion = taylor_rectified(build_rectified(0, 1e3))
     with pytest.warns(RuntimeWarning):
         rescale(expansion, 0, 0.9)
+
+
+@pytest.mark.parametrize("harmonic, value, what", [
+    (1.0 + 1e-6j, 1.0, "harmonic coefficient"),
+    (1.0, 1.0 + 1e-6j, "constant term"),
+])
+def test_rescale_rejects_a_complex_real_part(harmonic, value, what):
+    # The constant and harmonic parts are real in exact arithmetic; a
+    # residue above 1e-12 relative is raised, not dropped.
+    expansion = TaylorExpansion(base_point=-1j, value=value, harmonic=harmonic, cubic=-5j)
+    with pytest.raises(ValueError, match=f"{what} has a non-negligible imaginary part"):
+        rescale(expansion, 0, 2.0)
 
 
 def test_rescale_general_harmonic_collapses():

@@ -159,6 +159,13 @@ def test_energy_ho_exact_range_error():
         energy_ho_exact(10.0, -1.0, 0)
 
 
+@pytest.mark.parametrize("level", [energy_ho_exact, energy_ho_approx])
+@pytest.mark.parametrize("n", [-1, 1.5])
+def test_oscillator_levels_take_only_non_negative_integer_n(level, n):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        level(10.0, 1.0, n)
+
+
 def test_energy_ho_approx_values():
     assert energy_ho_approx(10.0, 1.0, 0) == pytest.approx(-math.sqrt(440.0) + 2.0,
                                                            rel=1e-15)
