@@ -28,7 +28,7 @@ environment sets it, before numpy or scipy is imported.  OpenBLAS would
 otherwise start, in numpy's copy and in scipy's, one worker thread per
 further core, and those threads spin on CPU time that no command gives
 them work for: the solver's dot products stay on the calling thread
-(eigensolver.blocked_vdot) and gttrf/gttrs are not threaded.  A value the
+(eigensolver.blocked_dot) and gttrf/gttrs are not threaded.  A value the
 user sets wins, and main() called in process leaves the environment alone.
 """
 

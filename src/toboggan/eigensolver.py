@@ -5,21 +5,27 @@ central differences on s in [-S, S] (the wavefunction is treated as zero
 outside the grid) and extracts the eigenvalues nearest closed-form seeds by
 shifted inverse iteration on the complex tridiagonal pencil (A, B).
 
+The pencil is complex symmetric (A = A^T, B diagonal), so the stationary
+eigenvalue estimate is the bilinear Rayleigh quotient v^T A v / v^T B v.
+Each sweep takes it from the right-hand side b of its own solve
+(A - shift*B) w = b, as shift + w^T b / w^T B w, with no product A w; A v
+is formed only on the sweeps that read the residual.
+
 The tridiagonal LU factorization (LAPACK gttrf/gttrs) is computed once per
 shift and reused across iterations; B is diagonal throughout, so every sweep
 costs O(K).  Each TridiagonalSystem allocates its solve buffers, grid-sized
 arrays, when it is built, and every level and every nudged shift reuses
 them: gttrf factorizes the system's three diagonal buffers in place, gttrs
 solves in place over its right-hand side, and every other step of a sweep
-writes into one of its buffers, so a sweep allocates no array.  The residual
-is formed only on the sweeps that read it.  The dot products run over blocks
-of at most DOT_BLOCK terms, each below the length at which OpenBLAS splits a
-dot product over worker threads, so a sweep starts no BLAS thread and its
-rounding does not depend on the CPU count.
+writes into one of its buffers, so a sweep allocates no array.  The dot
+products run over blocks of at most DOT_BLOCK terms, each below the length
+at which OpenBLAS splits a dot product over worker threads, so a sweep
+starts no BLAS thread and its rounding does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import cmath
 import importlib.machinery
 import importlib.util
 import math
@@ -174,9 +180,10 @@ class TridiagonalSystem:
     refilled on every call, so one system takes one solve at a time: dl, d
     and du take the diagonals of A - shift*B and then their LU factors; rhs
     and bv are the two vector buffers, rhs holding the right-hand side and
-    then v, bv taking B v, and they trade roles every sweep; av takes A v,
-    scratch the off-diagonal terms of A v and the residual, and modulus the
-    moduli of either.
+    then v, bv taking B v, and they trade roles every sweep; av keeps a copy
+    of the right-hand side and, on the sweeps that read the residual, takes
+    A v; scratch takes the off-diagonal terms of A v and the residual, and
+    modulus the moduli of v or of the residual.
     """
 
     def __init__(self, diag: np.ndarray, off: complex, weight: np.ndarray):
@@ -219,46 +226,54 @@ def build_tridiagonal(potential: Callable, disc: Discretization,
     return TridiagonalSystem(values, -1.0 / (h * h), wdiag)
 
 
-def blocked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """np.vdot(a, b) summed in order over blocks of DOT_BLOCK terms.
+def blocked_dot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.dot(a, b), the unconjugated sum, taken in order over blocks of
+    DOT_BLOCK terms.
 
-    Up to DOT_BLOCK terms it is the single np.vdot call itself, bit for bit.
+    Up to DOT_BLOCK terms it is the single np.dot call itself, bit for bit.
     Above that the sum is fixed by the block layout alone, not by how many
     threads BLAS would split one long call over.
     """
-    total = np.vdot(a[:DOT_BLOCK], b[:DOT_BLOCK])
+    total = np.dot(a[:DOT_BLOCK], b[:DOT_BLOCK])
     for start in range(DOT_BLOCK, a.size, DOT_BLOCK):
-        total += np.vdot(a[start:start + DOT_BLOCK], b[start:start + DOT_BLOCK])
+        total += np.dot(a[start:start + DOT_BLOCK], b[start:start + DOT_BLOCK])
     return total
 
 
 def inverse_iteration(system: TridiagonalSystem, shift: complex,
                       tol: float = 1e-9) -> EigenResult:
     """Shifted inverse iteration v <- solve(A - shift*B, B v) with
-    max-modulus normalization and Rayleigh estimate (v* A v)/(v* B v).
+    max-modulus normalization and the bilinear Rayleigh estimate
+    (v^T A v)/(v^T B v), the stationary one for the complex symmetric pencil.
 
     Every step writes into one of the system's own buffers (named as in
     TridiagonalSystem).  The diagonals of A - shift*B are filled into dl, d
-    and du and factorized there in place by gttrf.  One sweep has gttrs
-    overwrite rhs, the B v the previous sweep formed (B times the all-ones
-    start on the first), with the solution v; writes its moduli into modulus
-    and rejects a v whose largest modulus is not finite (a nan or inf
-    anywhere makes it so); divides v by its entry of largest modulus in
-    place; writes A v into av, its off-diagonal terms formed in scratch, and
-    B v into bv; and takes the two dot products with blocked_vdot.  rhs and
-    bv then swap, so the B v just formed is the next right-hand side.  A
-    sweep allocates no array; the factorization allocates only gttrf's
-    second superdiagonal and pivots.
+    and du and factorized there in place by gttrf.  One sweep copies the
+    right-hand side b into av: the B v the previous sweep formed (B times the
+    all-ones start on the first), which gttrs then overwrites in rhs with the
+    solution w of (A - shift*B) w = b.  It writes the moduli of w into
+    modulus and rejects a w whose largest modulus is not finite (a nan or inf
+    anywhere makes it so); divides w in place by w_k, its entry of largest
+    modulus, giving v; and writes B v into bv.  Since (A - shift*B) v =
+    b / w_k, the estimate shift + (v^T b) / (w_k v^T B v) equals
+    v^T A v / v^T B v without a product A v, and its rounding scales with
+    |lambda - shift|, not with |A|.  Both dot products go through
+    blocked_dot.  rhs and bv then swap, so the B v just formed is the next
+    right-hand side.  A sweep allocates no array; the factorization
+    allocates only gttrf's second superdiagonal and pivots.
 
     Converged means the relative change of the estimate dropped below
     tol * max(1, |lambda|) and the residual max|A v - lambda B v| / max|v|
     below the backward-error bound tol * (|A|_inf + |lambda| |B|_inf); the
-    raw residual is what EigenResult reports.  The residual, formed in
-    scratch, is computed only where it is read: on a sweep whose
-    estimate has settled, and on the last.  After MAX_SWEEPS sweeps without
-    meeting both, converged is False.  Raises ShiftCollisionError when
-    A - shift*B factorizes as singular or a solve is not finite, in which
-    case the caller is expected to nudge the shift by about 1e-6 * |shift|.
+    raw residual is what EigenResult reports.  A v, formed in av with its
+    off-diagonal terms in scratch, and the residual, formed in scratch, are
+    computed only where the residual is read: on a sweep whose estimate has
+    settled, and on the last.  v^T B v can vanish for a complex v, so a zero
+    or non-finite estimate leaves its sweep unsettled (and the last sweep's
+    residual inf).  After MAX_SWEEPS sweeps without meeting both, converged
+    is False.  Raises ShiftCollisionError when A - shift*B factorizes as
+    singular or a solve is not finite, in which case the caller is expected
+    to nudge the shift by about 1e-6 * |shift|.
     """
     diag, off, weight = system.diag, system.off, system.weight
     np.multiply(shift, weight, out=system.d)
@@ -276,25 +291,29 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     modulus = system.modulus
     rhs.fill(1.0)
     np.multiply(weight, rhs, out=rhs)
-    lam = None
+    lam = complex(math.nan)  # no sweep settles against the start
     residual = math.inf
     for iteration in range(1, MAX_SWEEPS + 1):
+        np.copyto(av, rhs)
         v, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, rhs, overwrite_b=1)
         np.abs(v, out=modulus)
         k = np.argmax(modulus)
         if info != 0 or not math.isfinite(modulus[k]):
             raise ShiftCollisionError(f"triangular solve failed at shift {shift!r}")
-        np.divide(v, v[k], out=v)
-        np.multiply(diag, v, out=av)
-        np.multiply(off, v[1:], out=scratch[:-1])
-        np.add(av[:-1], scratch[:-1], out=av[:-1])
-        np.multiply(off, v[:-1], out=scratch[1:])
-        np.add(av[1:], scratch[1:], out=av[1:])
+        w_k = complex(v[k])
+        np.divide(v, w_k, out=v)
         np.multiply(weight, v, out=bv)
-        lam_new = complex(blocked_vdot(v, av) / blocked_vdot(v, bv))
-        settled = (lam is not None
-                   and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)))
-        if settled or iteration == MAX_SWEEPS:
+        denominator = w_k * complex(blocked_dot(v, bv))
+        lam_new = (shift + complex(blocked_dot(v, av)) / denominator if denominator
+                   else complex(math.nan))
+        finite = cmath.isfinite(lam_new)
+        settled = finite and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
+        if settled or (finite and iteration == MAX_SWEEPS):
+            np.multiply(diag, v, out=av)
+            np.multiply(off, v[1:], out=scratch[:-1])
+            np.add(av[:-1], scratch[:-1], out=av[:-1])
+            np.multiply(off, v[:-1], out=scratch[1:])
+            np.add(av[1:], scratch[1:], out=av[1:])
             r = np.multiply(lam_new, bv, out=scratch)
             np.abs(np.subtract(av, r, out=r), out=modulus)
             largest = np.max(modulus)
@@ -303,7 +322,8 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
                 return EigenResult(lam_new, residual, iteration, True)
         lam = lam_new
         rhs, bv = bv, v
-    return EigenResult(complex(lam), residual, MAX_SWEEPS, False)
+    return EigenResult(lam, residual if cmath.isfinite(lam) else math.inf,
+                       MAX_SWEEPS, False)
 
 
 @dataclass(frozen=True)

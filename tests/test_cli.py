@@ -16,7 +16,7 @@ import toboggan
 from toboggan import cli, eigensolver
 from toboggan.cli import main
 from toboggan.contours import WindingContour, sample_path, winding_path
-from toboggan.eigensolver import Discretization, blocked_vdot, low_lying
+from toboggan.eigensolver import Discretization, blocked_dot, low_lying
 from toboggan.spectra import (
     SpectrumTable,
     energy_cubic,
@@ -549,12 +549,12 @@ def test_entry_point_sets_the_thread_count_only_when_unset(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("points", [1, 601, 8192])
-def test_blocked_dot_is_one_vdot_up_to_a_block(points):
-    # Grids up to a block keep the digits a single np.vdot gave them.
+def test_blocked_dot_is_one_dot_up_to_a_block(points):
+    # Grids up to a block keep the digits a single np.dot gives them.
     rng = np.random.default_rng(points)
     a, b = (rng.standard_normal(points) + 1j * rng.standard_normal(points)
             for _ in range(2))
-    got, want = blocked_vdot(a, b), np.vdot(a, b)
+    got, want = blocked_dot(a, b), np.dot(a, b)
     assert ([float(x).hex() for x in (got.real, got.imag)]
             == [float(x).hex() for x in (want.real, want.imag)])
 
