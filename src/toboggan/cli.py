@@ -6,11 +6,11 @@ omitted series term (none for the exact oscillator levels of ho) plus the
 3-point scheme's leading truncation on the grid solved on.
 
 All commands are deterministic: identical inputs give byte-identical
-output, whatever the CPU count or the number of BLAS threads.  spectrum
-and figure fig2/fig3 compute with Python floats and libm alone and never
-import numpy, so their output does not depend on the CPU's SIMD features
-either; contour, fig1 and verify values go through numpy, whose SIMD paths
-can still move a last digit from one CPU to another.  Numeric
+output, whatever the CPU count or the number of BLAS threads.  contour,
+spectrum and every figure compute with CPython floats, complex numbers and
+libm alone and never import numpy, so their output does not depend on the
+CPU's SIMD features either; only verify loads numpy, whose SIMD paths can
+still move a last digit of its values from one CPU to another.  Numeric
 fields carry 17 significant digits unless the environment variable
 TOBOGGAN_PRECISION overrides the count.  Exit status: 0 success, 1 usage or
 domain error, 2 verification failure.
@@ -40,11 +40,12 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from operator import itemgetter
+from itertools import chain, islice
 
 from . import spectra
 from .contours import WindingContour, sample_path
 from .spectra import SpectrumTable
+from .util import linspace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,6 +53,9 @@ EXIT_VERIFY = 2
 
 # verify's margin over each level's predicted error, for the omitted orders.
 SAFETY = 1.25
+
+# Rows a table writer formats with one % and writes at once.
+BLOCK_ROWS = 512
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,52 +169,57 @@ def _open_output(path: str | None):
             yield stream
 
 
-def _write_table(args: argparse.Namespace, header: tuple[str, ...], rows: list[tuple],
+def _write_table(args: argparse.Namespace, header: tuple[str, ...], columns: tuple[list, ...],
                  meta: dict | None = None, key: str | None = None) -> None:
-    """Write rows, at least one, as CSV (the default) or as --format json records.
+    """Write a table given by its columns, equally long lists of at least one
+    cell, as CSV (the default) or as --format json records.
 
-    Cells are ints, floats and strs, a column keeping its first row's type;
+    Cells are ints, floats and strs, a column keeping its first cell's type;
     a nan or inf cell is an error, raised before anything is written.  Each
     format is a head, a %-template per row from the header and the first
-    row, a separator and a tail.  CSV prints ints and strings as they are
+    row, a separator and a tail; the rows after the first go out in blocks
+    of BLOCK_ROWS, each formatted with one % on the separator and template
+    repeated over the block's cells.  CSV prints ints and strings as they are
     and floats at the requested significant digits.  JSON is the list of
     records keyed by header, or with an envelope the meta fields followed by
     that list under `key` (a record leaves out any field the envelope
     carries): json.dump(..., indent=2)'s text of the document with an empty
     list, split where the records go; %r is json's text of an int or float.
     """
-    for i, (name, cell) in enumerate(zip(header, rows[0])):
+    for name, column in zip(header, columns):
         # A sum of finite floats can overflow, but nan and inf always show.
-        if type(cell) is float and not math.isfinite(sum(map(itemgetter(i), rows))):
-            for number, row in enumerate(rows, 1):
-                if not math.isfinite(row[i]):
+        if type(column[0]) is float and not math.isfinite(sum(column)):
+            for number, cell in enumerate(column, 1):
+                if not math.isfinite(cell):
                     raise ValueError(f"column {name} is not finite in row {number} "
-                                     f"of {len(rows)}: {row[i]!r}")
-    cells = iter(rows)
+                                     f"of {len(column)}: {cell!r}")
     if args.format == "json":
         meta = meta or {}
         document = json.dumps({**meta, key: []} if key else [], indent=2)
         cut = document.rindex("[]") + 1
         indent = "  " if key else ""  # of the list; a record sits one level in
         pad = indent + "  "
-        kept = [i for i, name in enumerate(header) if name not in meta]
-        texts = {i for i in kept if type(rows[0][i]) is str}
-        fields = ",\n".join(f"{pad}  {json.dumps(header[i]).replace('%', '%%')}: "
-                            + ("%s" if i in texts else "%r") for i in kept)
+        kept = [(name, column) for name, column in zip(header, columns) if name not in meta]
+        fields = ",\n".join(f"{pad}  {json.dumps(name).replace('%', '%%')}: "
+                            + ("%s" if type(column[0]) is str else "%r")
+                            for name, column in kept)
         head, record = document[:cut] + "\n", f"{pad}{{\n{fields}\n{pad}}}"
         separator, tail = ",\n", f"\n{indent}{document[cut:]}\n"
-        if texts or len(kept) < len(header):
-            cells = (tuple(json.dumps(row[i]) if i in texts else row[i] for i in kept)
-                     for row in rows)
+        columns = [list(map(json.dumps, column)) if type(column[0]) is str else column
+                   for _, column in kept]
     else:
         float_cell = f"%.{_digits()}g"
         head, separator, tail = ",".join(header) + "\n", "\n", "\n"
-        record = ",".join("%s" if isinstance(cell, (int, str)) else float_cell
-                          for cell in rows[0])
+        record = ",".join(float_cell if type(column[0]) is float else "%s"
+                          for column in columns)
+    rows = zip(*columns)
     with _open_output(args.output) as out:
-        out.write(head + record % next(cells))
+        out.write(head + record % next(rows))
         record = separator + record
-        out.writelines(record % row for row in cells)
+        block = record * BLOCK_ROWS
+        while cells := tuple(chain.from_iterable(islice(rows, BLOCK_ROWS))):
+            count = len(cells) // len(columns)
+            out.write((block if count == BLOCK_ROWS else record * count) % cells)
         out.write(tail)
 
 
@@ -248,15 +257,16 @@ def _with_config(parser: _Parser, argv: list[str],
     return [*argv[:at], *words, *argv[at:]]
 
 
-def _contour_rows(winding: int, args: argparse.Namespace) -> list[tuple]:
-    """(s, re, im) samples of one contour, as the --eps/--s-*/--count ask."""
+def _contour_columns(winding: int, args: argparse.Namespace) -> tuple[list, list, list]:
+    """The s, re and im columns of one contour's samples, as the
+    --eps/--s-*/--count ask."""
     contour = WindingContour(winding, args.eps)
     points = sample_path(contour, args.s_min, args.s_max, args.count)
-    return [(s, q.real, q.imag) for s, q in zip(points.s.tolist(), points)]
+    return points.s, [q.real for q in points], [q.imag for q in points]
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
-    _write_table(args, ("s", "re", "im"), _contour_rows(args.N, args),
+    _write_table(args, ("s", "re", "im"), _contour_columns(args.N, args),
                  {"N": args.N, "eps": args.eps}, "points")
     return EXIT_OK
 
@@ -265,55 +275,68 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.ell is None:
         raise ValueError("--ell is required")
     table = SpectrumTable.closed_form(args.N, args.ell, args.levels)
-    rows = [(e.winding_number, e.ell, table.rho, e.n, e.energy, e.rescaled,
-             e.gap, "closed_form") for e in table.entries]
-    _write_table(args, ("N", "ell", "rho", "n", "E", "F", "G", "source"), rows,
+    entries = table.entries
+    columns = ([e.winding_number for e in entries], [e.ell for e in entries],
+               [table.rho] * len(entries), [e.n for e in entries],
+               [e.energy for e in entries], [e.rescaled for e in entries],
+               [e.gap for e in entries], ["closed_form"] * len(entries))
+    _write_table(args, ("N", "ell", "rho", "n", "E", "F", "G", "source"), columns,
                  {"rho": table.rho}, "entries")
     return EXIT_OK
 
 
 def _log_grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
     """count points from lo to hi, evenly spaced in log10 as np.logspace
-    spaces them: numpy's linspace exponents, y_i = i*step + a with the last
-    one b, for a, b = log10(lo), log10(hi), each raised as 10.0 ** y_i.
+    spaces them: numpy's linspace exponents y_i from a = log10(lo) to
+    b = log10(hi) (util.linspace), each raised as 10.0 ** y_i in place.
     libm's pow gives the same bits on every CPU; numpy's power does not."""
     if count < 1:
         raise ValueError(f"{flag} must be at least 1, got {count}")
     a, b = math.log10(lo), math.log10(hi)
     if count == 1:
         return [10.0 ** a]
+    grid = linspace(a, b, count)
     try:
-        top = 10.0 ** b
+        for i, y in enumerate(grid):
+            grid[i] = 10.0 ** y
     except OverflowError:  # hi within rounding of the largest float
         raise ValueError(f"10**log10({hi!r}) overflows") from None
-    grid = [top] * count  # one allocation: a count too large fails here, at once
-    step = (b - a) / (count - 1)
-    for i in range(count - 1):
-        grid[i] = 10.0 ** (i * step + a)
     return grid
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.which == "fig1":
-        rows = [(winding, *row) for winding in (0, 1, 2)
-                for row in _contour_rows(winding, args)]
+        columns = ([], [], [], [])  # the N = 0, 1, 2 curves, one after the other
+        for winding in (0, 1, 2):
+            curve = _contour_columns(winding, args)
+            columns[0].extend([winding] * len(curve[0]))
+            for column, part in zip(columns[1:], curve):
+                column.extend(part)
         header = ("N", "s", "re", "im")
     elif args.which == "fig2":
         if not (0 < args.rho_min < args.rho_max <= 1e-2):
             raise ValueError("need 0 < rho-min < rho-max <= 1e-2")
         rhos = _log_grid(args.rho_min, args.rho_max, args.rho_points, "--rho-points")
-        ells = [1.0 / math.sqrt(rho) - 0.5 for rho in rhos]
-        rows = [(rho, winding, n, spectra.rescaled_level(winding, ell, n))
-                for rho, ell in zip(rhos, ells) for winding in range(4) for n in range(5)]
+        levels = []  # F for N = 0..3 and n = 0..4 at each rho
+        for rho in rhos:
+            ell = 1.0 / math.sqrt(rho) - 0.5
+            scale = spectra.density_parameter(ell) ** 0.6  # as rescaled_level scales
+            for winding in range(4):
+                ladder = spectra.Ladder(winding, ell)
+                levels += [scale * ladder.level(n) for n in range(5)]
+        columns = ([rho for rho in rhos for _ in range(20)],
+                   [winding for winding in range(4) for _ in range(5)] * len(rhos),
+                   list(range(5)) * (4 * len(rhos)), levels)
         header = ("rho", "N", "n", "F")
     else:
         if not (0 < args.ell_min < args.ell_max < math.inf):
             raise ValueError("need 0 < ell-min < ell-max < inf")
         ells = _log_grid(args.ell_min, args.ell_max, args.ell_points, "--ell-points")
-        rows = [(ell, winding, spectra.gap(winding, ell) / ell ** 0.2)
-                for ell in ells for winding in range(4)]
+        columns = ([ell for ell in ells for _ in range(4)], list(range(4)) * len(ells),
+                   [spectra.gap(winding, ell) / ell ** 0.2
+                    for ell in ells for winding in range(4)])
         header = ("ell", "N", "G_scaled")
-    _write_table(args, header, rows)
+    _write_table(args, header, columns)
     return EXIT_OK
 
 

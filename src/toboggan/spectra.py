@@ -20,15 +20,31 @@ def energy_toboggan(winding_number: int, ell: float, n: int) -> float:
     N >= 1 the finite-difference oracle finds the N = 0 levels energy_cubic
     instead (see expansion.weight_correction_exponent).
     """
-    big_n = int(winding_number)
     if n != int(n) or n < 0:
         raise ValueError("quantum number n must be a non-negative integer")
-    tau = tau_general(big_n, ell)
-    well = -(10 * big_n + 5) / 2.0 * tau ** (6 * big_n + 3)
-    rung = ((2 * int(n) + 1) / (2 * big_n + 1)
-            * math.sqrt((10 * big_n + 3) * (10 * big_n + 5) / 2.0)
-            * tau ** (big_n + 0.5))
-    return well + rung
+    return Ladder(winding_number, ell).level(int(n))
+
+
+class Ladder:
+    """energy_toboggan at one (N, l), split at the level: the well
+    -(10N+5)/2 * tau**(6N+3), 2N+1, sqrt((10N+3)(10N+5)/2) and
+    tau**(N+1/2) from one tau, and level(n) adds the rung of level n in
+    energy_toboggan's order of operations, so a table of levels computes
+    tau once and still gives energy_toboggan's bits."""
+
+    __slots__ = ("well", "odd", "root", "power")
+
+    def __init__(self, winding_number: int, ell: float):
+        big_n = int(winding_number)
+        tau = tau_general(big_n, ell)
+        self.well = -(10 * big_n + 5) / 2.0 * tau ** (6 * big_n + 3)
+        self.odd = 2 * big_n + 1
+        self.root = math.sqrt((10 * big_n + 3) * (10 * big_n + 5) / 2.0)
+        self.power = tau ** (big_n + 0.5)
+
+    def level(self, n: int) -> float:
+        """energy_toboggan(N, l, n) for an integer n >= 0, unchecked."""
+        return self.well + (2 * n + 1) / self.odd * self.root * self.power
 
 
 def energy_cubic(ell: float, n: int) -> float:
@@ -147,13 +163,14 @@ class SpectrumTable:
     def closed_form(cls, winding_number: int, ell: float, levels: int) -> "SpectrumTable":
         if levels < 1:
             raise ValueError("levels must be at least 1")
+        ladder = Ladder(winding_number, ell)
         spacing = gap(winding_number, ell)
         rho = density_parameter(ell)
         scale = rho ** 0.6  # scale * E is rescaled_level, bit for bit
+        winding_number, ell = int(winding_number), float(ell)
         entries = [None] * levels  # one allocation: too many levels fail at once
         for n in range(levels):
-            energy = energy_toboggan(winding_number, ell, n)
-            entries[n] = SpectrumEntry(int(winding_number), float(ell), n, energy,
-                                       scale * energy, spacing)
+            energy = ladder.level(n)
+            entries[n] = SpectrumEntry(winding_number, ell, n, energy, scale * energy,
+                                       spacing)
         return cls(entries, rho)
-

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toboggan
-from toboggan import cli, eigensolver
+from toboggan import cli, contours, eigensolver
 from toboggan.cli import main
 from toboggan.contours import WindingContour, sample_path, winding_path
 from toboggan.eigensolver import Discretization, blocked_dot, low_lying
@@ -23,6 +23,7 @@ from toboggan.spectra import (
     energy_cubic_correction,
     energy_toboggan,
     gap_constant,
+    rescaled_level,
     rescaled_level_limit,
 )
 
@@ -147,6 +148,17 @@ def test_figure_fig2_approaches_limits(capsys):
         if float(row[0]) == smallest and row[2] == "0":
             limit = rescaled_level_limit(int(row[1]))
             assert abs(float(row[3]) - limit) <= 0.02 * abs(limit)
+
+
+def test_figure_fig2_rows_are_rescaled_level(capsys):
+    code, out, _ = run(capsys, "figure", "fig2", "--rho-points", "7", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert [(r["N"], r["n"]) for r in records] == [
+        (winding, n) for _ in range(7) for winding in range(4) for n in range(5)]
+    for record in records:
+        ell = 1.0 / math.sqrt(record["rho"]) - 0.5
+        assert record["F"] == rescaled_level(record["N"], ell, record["n"])
 
 
 def test_figure_fig3_ordering(capsys):
@@ -915,11 +927,13 @@ def test_count_beyond_any_array_names_its_flag(capsys, monkeypatch, command):
 
 ALLOCATABLE = 10 ** 13  # indexable, but 72 TiB of float64
 
-# The first allocation each command makes of its count: numpy's linspace,
-# whose MemoryError carries the shape and dtype, or the one-allocation list
-# of fig2/fig3's grid and spectrum's entries, whose MemoryError carries
-# nothing, stood in for by the function that asks for it.
-FIRST_ALLOCATION = {"fig2": (cli, "_log_grid"), "fig3": (cli, "_log_grid"),
+# The first allocation each command makes of its count: the solver's numpy
+# linspace, whose MemoryError carries the shape and dtype, or the
+# one-allocation list of a contour's grid, fig2/fig3's grid and spectrum's
+# entries, whose MemoryError carries nothing, stood in for by the function
+# that asks for it.
+FIRST_ALLOCATION = {"contour": (contours, "linspace"), "fig1": (contours, "linspace"),
+                    "fig2": (cli, "_log_grid"), "fig3": (cli, "_log_grid"),
                     "spectrum": (SpectrumTable, "closed_form")}
 
 
@@ -933,10 +947,11 @@ def test_count_too_large_to_allocate_names_its_flag(capsys, monkeypatch, command
 
 
 # An allocation after the first, for a count that really fits: the solver's
-# buffers (np.empty), the contour's complex power, a row of a closed-form table.
-LATER_ALLOCATION = {"contour": ("toboggan.contours", "ipow"),
-                    "fig1": ("toboggan.contours", "ipow"),
-                    "fig2": ("toboggan.spectra", "rescaled_level"),
+# buffers (np.empty), the list of a contour's points, a row of a closed-form
+# table.
+LATER_ALLOCATION = {"contour": ("toboggan.contours", "PathSamples"),
+                    "fig1": ("toboggan.contours", "PathSamples"),
+                    "fig2": ("toboggan.spectra", "Ladder"),
                     "fig3": ("toboggan.spectra", "gap"),
                     "spectrum": ("toboggan.spectra", "SpectrumEntry"),
                     "verify-ho": ("numpy", "empty"),
@@ -952,7 +967,7 @@ def test_count_that_fails_a_later_allocation_names_its_flag(capsys, monkeypatch,
 
     def exhausted(*args, **kwargs):
         calls.append(name)
-        if module == "toboggan.spectra":
+        if module != "numpy":
             raise MemoryError()  # a list that cannot grow carries nothing
         raise MemoryError((20001,), np.dtype(complex))
 
@@ -997,11 +1012,11 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     # not the text json writes.
     tables = []
     original = cli._write_table
-    monkeypatch.setattr(cli, "_write_table", lambda args, header, rows, *rest:
-                        tables.append(rows) or original(args, header, rows, *rest))
+    monkeypatch.setattr(cli, "_write_table", lambda args, header, columns, *rest:
+                        tables.append(columns) or original(args, header, columns, *rest))
     code, _, _ = run(capsys, *argv)
-    assert code == 0 and len(tables) == 1 and tables[0]
-    assert all(type(cell) in (int, float, str) for row in tables[0] for cell in row)
+    assert code == 0 and len(tables) == 1 and tables[0][0]
+    assert all(type(cell) in (int, float, str) for column in tables[0] for cell in column)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1128,11 +1143,47 @@ IMPORT_PROBE = textwrap.dedent("""
     """)
 
 
+# A span whose width overflows: numpy's linspace warned twice here, outside
+# the sampling's errstate, and under -W error ended in a traceback.
+OVERFLOWING_SPAN = ("contour", "--N", "2", "--s-min=-1e308", "--s-max", "1.7e308",
+                    "--count", "3")
+
+
+@pytest.mark.parametrize("warnings", [(), ("-W", "error")], ids=["default", "W-error"])
+def test_an_overflowing_contour_span_ends_in_one_error_line(warnings):
+    src = str(Path(toboggan.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, *warnings, "-m", "toboggan.cli", *OVERFLOWING_SPAN],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "toboggan: error: column s is not finite in row 1 of 3: nan\n")
+
+
+# Spans of subnormals, with the bytes numpy's linspace gave them: a subnormal
+# step, and a step that underflows to 0, where the grid is i/4*delta + s_min.
+SUBNORMAL_SPANS = {
+    "1e-320": ("-9.9998886718268301e-321,-9.9998886718268301e-321,-1\n"
+               "-4.999944335913415e-321,-4.999944335913415e-321,-1\n"
+               "0,0,-1\n"
+               "4.999944335913415e-321,4.999944335913415e-321,-1\n"
+               "9.9998886718268301e-321,9.9998886718268301e-321,-1\n"),
+    "5e-324": ("-4.9406564584124654e-324,-4.9406564584124654e-324,-1\n" * 2
+               + "0,0,-1\n"
+               + "4.9406564584124654e-324,4.9406564584124654e-324,-1\n" * 2),
+}
+
+
+@pytest.mark.parametrize("end", list(SUBNORMAL_SPANS))
+def test_a_contour_span_of_subnormals_keeps_its_bytes(capsys, end):
+    assert run(capsys, "contour", f"--s-min=-{end}", "--s-max", end, "--count", "5") == (
+        0, "s,re,im\n" + SUBNORMAL_SPANS[end], "")
+
+
 def test_closed_form_commands_never_load_scipy():
     # Fresh interpreters, so that no earlier test has imported numpy or scipy.
     # Only the solver (verify, low_lying) loads numpy at import and scipy's
     # LAPACK extension, never the scipy or scipy.linalg package, when it
-    # factorizes; contours load numpy to sample, the closed forms never.
+    # factorizes; contours and the closed forms never load numpy.
     src = str(Path(toboggan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     nothing = [False, False, False, False]
@@ -1141,8 +1192,8 @@ def test_closed_form_commands_never_load_scipy():
     cases = [(["spectrum", "--ell", "4"], nothing),
              (["figure", "fig2", "--rho-points", "2"], nothing),
              (["figure", "fig3", "--ell-points", "2"], nothing),
-             (["contour", "--count", "3"], numpy_only),
-             (["figure", "fig1", "--count", "3"], numpy_only),
+             (["contour", "--count", "3"], nothing),
+             (["figure", "fig1", "--count", "3"], nothing),
              (["verify", "ho"], lapack)]
     for argv, after in cases:
         done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import loglog_slope
 from toboggan.expansion import tau_general
 from toboggan.spectra import (
+    Ladder,
     SpectrumTable,
     density_parameter,
     energy_cubic,
@@ -242,3 +244,40 @@ def test_spectrum_table_structure():
         == table.entries
     with pytest.raises(ValueError):
         SpectrumTable.closed_form(0, 4.0, 0)
+
+
+def _paper_level(winding, ell, n):
+    """energy_toboggan's formula written out in one expression."""
+    tau = tau_general(winding, ell)
+    return (-(10 * winding + 5) / 2.0 * tau ** (6 * winding + 3)
+            + (2 * n + 1) / (2 * winding + 1)
+            * math.sqrt((10 * winding + 3) * (10 * winding + 5) / 2.0)
+            * tau ** (winding + 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=40),
+       st.floats(min_value=0.0, max_value=1e15, exclude_min=True),
+       st.integers(min_value=0, max_value=49))
+def test_ladder_is_energy_toboggan_and_rescaled_level_bit_for_bit(winding, ell, n):
+    try:
+        expected = _paper_level(winding, ell, n)
+    except ValueError as exc:  # l too small for L(L+1) > 0: the same error
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            Ladder(winding, ell)
+        return
+    level = Ladder(winding, ell).level(n)
+    assert np.float64(level).view(np.int64) == np.float64(expected).view(np.int64)
+    assert level == energy_toboggan(winding, ell, n)
+    scaled = density_parameter(ell) ** 0.6 * level
+    assert np.float64(scaled).view(np.int64) == np.float64(
+        rescaled_level(winding, ell, n)).view(np.int64)
+
+
+def test_spectrum_table_rows_are_the_ladder():
+    table = SpectrumTable.closed_form(2, 37.0, 60)
+    scale = density_parameter(37.0) ** 0.6
+    for n, entry in enumerate(table.entries):
+        assert entry.energy == energy_toboggan(2, 37.0, n)
+        assert entry.rescaled == scale * entry.energy == rescaled_level(2, 37.0, n)
+        assert entry.gap == gap(2, 37.0)

@@ -1,14 +1,18 @@
-"""The table writer's JSON is what json.dumps(payload, indent=2) writes."""
+"""The table writer's JSON is what json.dumps(payload, indent=2) writes, and
+its CSV what writing one row at a time gives, across its blocks of rows."""
 
 import argparse
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from toboggan import cli
 from toboggan.cli import _write_table
+from toboggan.spectra import SpectrumTable
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22,
                1.7976931348623157e308, -1.7976931348623157e308]
@@ -51,6 +55,36 @@ def test_json_table_equals_json_dumps_indent_2(table):
     payload = {**meta, key: records} if key else records
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _write_table(argparse.Namespace(format="json", output=None), header, rows,
-                     meta, key)
+        _write_table(argparse.Namespace(format="json", output=None), header,
+                     [list(column) for column in zip(*rows)], meta, key)
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+# The first row goes out alone, the rest in blocks of BLOCK_ROWS: one block
+# minus one row, exactly one block and two blocks plus one row, with the
+# first row on either side of each boundary.
+BLOCK = cli.BLOCK_ROWS
+BOUNDARY_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 2 * BLOCK + 2]
+
+
+@pytest.mark.parametrize("levels", BOUNDARY_ROWS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_table_across_blocks_is_its_row_by_row_text(capsys, monkeypatch, fmt,
+                                                           levels):
+    monkeypatch.setenv("TOBOGGAN_PRECISION", "7")
+    table = SpectrumTable.closed_form(1, 9.0, levels)
+    header = ("N", "ell", "rho", "n", "E", "F", "G", "source")
+    rows = [(e.winding_number, e.ell, table.rho, e.n, e.energy, e.rescaled, e.gap,
+             "closed_form") for e in table.entries]
+    assert cli.main(["spectrum", "--N", "1", "--ell", "9", "--levels", str(levels),
+                     "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        records = [{k: v for k, v in zip(header, row) if k != "rho"} for row in rows]
+        assert out == json.dumps({"rho": table.rho, "entries": records}, indent=2) + "\n"
+    else:
+        lines = [",".join(cell if type(cell) is str else
+                          "%.7g" % cell if type(cell) is float else str(cell)
+                          for cell in row) for row in rows]
+        assert out == ",".join(header) + "\n" + "".join(line + "\n" for line in lines)
