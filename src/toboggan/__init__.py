@@ -2,71 +2,54 @@
 complex contours, validated against a finite-difference complex eigensolver
 and an exactly solvable oscillator benchmark.
 
-The eigensolver's names are imported on first use (PEP 562): that module
-loads numpy, which the closed forms never need.
+`import toboggan` loads no submodule.  Every public name, and each library
+submodule's own name, is imported on first use (PEP 562) from the module
+that defines it: toboggan.sample_path loads contours and util alone,
+toboggan.gap spectra, expansion, rectify and potentials, and only the
+eigensolver's names load numpy.  __all__ and dir() list every name, so
+`from toboggan import *` imports them all.
 """
-
-from .contours import WindingContour, sample_path, straight_path, winding_path
-from .expansion import (
-    RescaledForm,
-    StationaryFamily,
-    TaylorExpansion,
-    cubic_correction_exponent,
-    harmonic_frequency,
-    mu_coefficient,
-    power_terms,
-    power_terms_ho,
-    rescale,
-    stationary_points,
-    stationary_points_ho,
-    tau_general,
-    tau_ho,
-    taylor_at,
-    taylor_ho,
-    taylor_rectified,
-    weight_correction_exponent,
-)
-from .potentials import HOSpec, SingularPointError, v_eff_cubic, v_eff_ho
-from .rectify import (
-    RectifiedProblem,
-    angular_map,
-    build_rectified,
-    rectified_potential,
-    weight,
-)
-from .spectra import (
-    SpectrumEntry,
-    SpectrumTable,
-    density_parameter,
-    energy_cubic,
-    energy_error_scale,
-    energy_ho_approx,
-    energy_ho_exact,
-    energy_toboggan,
-    gap,
-    gap_constant,
-    rescaled_level,
-    rescaled_level_limit,
-)
 
 __version__ = "0.1.0"
 
-_EIGENSOLVER_NAMES = frozenset((
-    "DegenerateEigenvaluesError",
-    "Discretization",
-    "EigenResult",
-    "Level",
-    "ShiftCollisionError",
-    "TridiagonalSystem",
-    "build_tridiagonal",
-    "inverse_iteration",
-    "low_lying",
-    "resolved_discretization",
-))
+# The public names of each submodule, for __getattr__.
+_EXPORTS = {
+    "contours": ("WindingContour", "sample_path", "straight_path", "winding_path"),
+    "eigensolver": (
+        "DegenerateEigenvaluesError", "Discretization", "EigenResult", "Level",
+        "ShiftCollisionError", "TridiagonalSystem", "build_tridiagonal",
+        "inverse_iteration", "low_lying", "resolved_discretization"),
+    "expansion": (
+        "RescaledForm", "StationaryFamily", "TaylorExpansion",
+        "cubic_correction_exponent", "harmonic_frequency", "mu_coefficient",
+        "power_terms", "power_terms_ho", "rescale", "stationary_points",
+        "stationary_points_ho", "tau_general", "tau_ho", "taylor_at", "taylor_ho",
+        "taylor_rectified", "weight_correction_exponent"),
+    "potentials": ("HOSpec", "SingularPointError", "v_eff_cubic", "v_eff_ho"),
+    "rectify": ("RectifiedProblem", "angular_map", "build_rectified",
+                "rectified_potential", "weight"),
+    "spectra": (
+        "SpectrumEntry", "SpectrumTable", "density_parameter", "energy_cubic",
+        "energy_error_scale", "energy_ho_approx", "energy_ho_exact",
+        "energy_toboggan", "gap", "gap_constant", "rescaled_level",
+        "rescaled_level_limit"),
+    "util": (),
+}
+
+# Each exported name, a submodule's among them, by the submodule it comes from.
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _EIGENSOLVER_NAMES:
-        from . import eigensolver
-        return getattr(eigensolver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,10 +10,14 @@ output, whatever the CPU count or the number of BLAS threads.  contour,
 spectrum and every figure compute with CPython floats, complex numbers and
 libm alone and never import numpy, so their output does not depend on the
 CPU's SIMD features either; only verify loads numpy, whose SIMD paths can
-still move a last digit of its values from one CPU to another.  Numeric
-fields carry 17 significant digits unless the environment variable
-TOBOGGAN_PRECISION overrides the count.  Exit status: 0 success, 1 usage or
-domain error, 2 verification failure.
+still move a last digit of its values from one CPU to another.  Each
+command imports only the modules it runs: contour and figure fig1 load
+contours and util, spectrum, fig2 and fig3 add spectra (with expansion,
+rectify and potentials), and verify adds eigensolver.  The closed-form
+records are namedtuples, so no command but verify loads dataclasses or
+inspect.  Numeric fields carry 17 significant digits unless the
+environment variable TOBOGGAN_PRECISION overrides the count.  Exit
+status: 0 success, 1 usage or domain error, 2 verification failure.
 
 --config FILE's values go in as --option=value flags right after the
 command's words, so argparse checks them as typed and flags given later win.
@@ -42,9 +46,7 @@ import sys
 from contextlib import contextmanager
 from itertools import chain, islice
 
-from . import spectra
 from .contours import WindingContour, sample_path
-from .spectra import SpectrumTable
 from .util import linspace
 
 EXIT_OK = 0
@@ -272,6 +274,8 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .spectra import SpectrumTable
+
     if args.ell is None:
         raise ValueError("--ell is required")
     table = SpectrumTable.closed_form(args.N, args.ell, args.levels)
@@ -293,9 +297,7 @@ def _log_grid(lo: float, hi: float, count: int, flag: str) -> list[float]:
     if count < 1:
         raise ValueError(f"{flag} must be at least 1, got {count}")
     a, b = math.log10(lo), math.log10(hi)
-    if count == 1:
-        return [10.0 ** a]
-    grid = linspace(a, b, count)
+    grid = [a] if count == 1 else linspace(a, b, count)
     try:
         for i, y in enumerate(grid):
             grid[i] = 10.0 ** y
@@ -314,26 +316,30 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 column.extend(part)
         header = ("N", "s", "re", "im")
     elif args.which == "fig2":
+        from .spectra import Ladder, density_parameter
+
         if not (0 < args.rho_min < args.rho_max <= 1e-2):
             raise ValueError("need 0 < rho-min < rho-max <= 1e-2")
         rhos = _log_grid(args.rho_min, args.rho_max, args.rho_points, "--rho-points")
         levels = []  # F for N = 0..3 and n = 0..4 at each rho
         for rho in rhos:
             ell = 1.0 / math.sqrt(rho) - 0.5
-            scale = spectra.density_parameter(ell) ** 0.6  # as rescaled_level scales
+            scale = density_parameter(ell) ** 0.6  # as rescaled_level scales
             for winding in range(4):
-                ladder = spectra.Ladder(winding, ell)
+                ladder = Ladder(winding, ell)
                 levels += [scale * ladder.level(n) for n in range(5)]
         columns = ([rho for rho in rhos for _ in range(20)],
                    [winding for winding in range(4) for _ in range(5)] * len(rhos),
                    list(range(5)) * (4 * len(rhos)), levels)
         header = ("rho", "N", "n", "F")
     else:
+        from .spectra import gap
+
         if not (0 < args.ell_min < args.ell_max < math.inf):
             raise ValueError("need 0 < ell-min < ell-max < inf")
         ells = _log_grid(args.ell_min, args.ell_max, args.ell_points, "--ell-points")
         columns = ([ell for ell in ells for _ in range(4)], list(range(4)) * len(ells),
-                   [spectra.gap(winding, ell) / ell ** 0.2
+                   [gap(winding, ell) / ell ** 0.2
                     for ell in ells for winding in range(4)])
         header = ("ell", "N", "G_scaled")
     _write_table(args, header, columns)
@@ -347,7 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g_n the grid's truncation error on the grid solved on, both from the
     level's record.  Every target writes one report: problem, grid, one
     record per level, the target's extras and the verdict."""
-    from . import eigensolver  # here, not at the top: it loads numpy
+    from . import eigensolver, spectra  # only verify runs eigensolver, which loads numpy
 
     winding, ell, count = VERIFY_TARGETS[args.target][0], args.ell, args.levels
     if winding is None:

@@ -13,21 +13,24 @@ that samples a contour loads numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .util import ipow, linspace
 
 
-@dataclass(frozen=True)
-class WindingContour:
+class WindingContour(namedtuple("WindingContour", "winding_number shift")):
     """Curve -i*[i*(s - i*shift)]**(2N+1), parametrized by real s."""
 
-    winding_number: int
-    shift: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        winding_path(self.winding_number, self.shift, 0.0)  # rejects a bad N or shift
+    def __new__(cls, winding_number: int, shift: float):
+        winding_path(winding_number, shift, 0.0)  # rejects a bad N or shift
+        return super().__new__(cls, winding_number, shift)
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
 
 
 def straight_path(shift: float, s: float) -> complex:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .potentials import HOSpec, SingularPointError
 from .rectify import RectifiedProblem, angular_map, build_rectified
@@ -22,32 +22,25 @@ from .util import zpow
 PowerTerms = Sequence[tuple[complex, int]]
 
 
-@dataclass(frozen=True)
-class StationaryFamily:
-    """The full polygon of stationary points; roots[0] = -i*tau."""
+class StationaryFamily(namedtuple("StationaryFamily", "roots tau")):
+    """The full polygon of stationary points, a tuple of complex with
+    roots[0] = -i*tau, and tau."""
 
-    roots: tuple[complex, ...]
-    tau: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TaylorExpansion:
+class TaylorExpansion(namedtuple("TaylorExpansion", "base_point value harmonic cubic")):
     """Local data V(T), V''(T)/2, V'''(T)/6 of a potential at base_point T."""
 
-    base_point: complex
-    value: complex
-    harmonic: complex
-    cubic: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RescaledForm:
-    """Coefficients after the xi -> sigma*xi rescaling of the local problem."""
+class RescaledForm(namedtuple("RescaledForm", [
+        "sigma", "harmonic_rescaled", "cubic_rescaled", "constant_rescaled"])):
+    """Coefficients after the xi -> sigma*xi rescaling of the local problem:
+    cubic_rescaled is complex, the others are floats."""
 
-    sigma: float
-    harmonic_rescaled: float
-    cubic_rescaled: complex
-    constant_rescaled: float
+    __slots__ = ()
 
 
 def tau_general(winding_number: int, ell: float) -> float:

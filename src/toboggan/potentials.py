@@ -7,7 +7,7 @@ no branch bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .util import has_zero, ipow
 
@@ -16,20 +16,23 @@ class SingularPointError(ValueError):
     """A potential was evaluated at its singular point q = 0."""
 
 
-@dataclass(frozen=True)
-class HOSpec:
+class HOSpec(namedtuple("HOSpec", "angular frequency")):
     """Parameters (l, omega) of the oscillator benchmark."""
 
-    angular: float
-    frequency: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.frequency) and self.frequency > 0):
+    def __new__(cls, angular: float, frequency: float = 1.0):
+        if not (math.isfinite(frequency) and frequency > 0):
             raise ValueError(
-                f"omega must be finite and positive, got omega = {self.frequency:g}")
-        if not (math.isfinite(self.angular) and self.angular >= 0):
+                f"omega must be finite and positive, got omega = {frequency:g}")
+        if not (math.isfinite(angular) and angular >= 0):
             raise ValueError(
-                f"l must be finite and non-negative, got l = {self.angular:g}")
+                f"l must be finite and non-negative, got l = {angular:g}")
+        return super().__new__(cls, angular, frequency)
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
 
 
 def v_eff_cubic(z, ell: float):

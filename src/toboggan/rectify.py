@@ -14,24 +14,25 @@ weight degenerates to 1 and the equation is the cubic problem itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .potentials import SingularPointError
 from .util import has_zero, ipow
 
 
-@dataclass(frozen=True)
-class RectifiedProblem:
+class RectifiedProblem(namedtuple("RectifiedProblem", [
+        "winding_number",
+        "ell",
+        "angular_rectified",        # L
+        "centrifugal_strength",     # L(L+1)
+        "potential_coefficient",    # i(-1)**N (2N+1)**2
+        "potential_exponent",       # 10N+3
+        "weight_coefficient",       # (2N+1)**2
+        "weight_exponent",          # 4N
+])):
     """Coefficients of the straight-line problem equivalent to an N-winding one."""
 
-    winding_number: int
-    ell: float
-    angular_rectified: float        # L
-    centrifugal_strength: float     # L(L+1)
-    potential_coefficient: complex  # i(-1)**N (2N+1)**2
-    potential_exponent: int         # 10N+3
-    weight_coefficient: float       # (2N+1)**2
-    weight_exponent: int            # 4N
+    __slots__ = ()
 
 
 def angular_map(winding_number: int, ell: float) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .expansion import tau_general
 from .potentials import HOSpec
@@ -142,22 +142,17 @@ def energy_ho_approx(ell: float, omega: float, n: int) -> float:
     return -omega * math.sqrt(x * x - 1.0) + 2.0 * omega * (2 * int(n) + 1)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    winding_number: int
-    ell: float
-    n: int
-    energy: float
-    rescaled: float
-    gap: float
+class SpectrumEntry(namedtuple("SpectrumEntry", "winding_number ell n energy rescaled gap")):
+    """Level n of the N-winding problem at l: its E, F and G."""
+
+    __slots__ = ()
 
 
-@dataclass
-class SpectrumTable:
-    """Per-level energies E, rescaled levels F and gaps G at a fixed l."""
+class SpectrumTable(namedtuple("SpectrumTable", "entries rho")):
+    """Per-level energies E, rescaled levels F and gaps G at a fixed l: a
+    list of SpectrumEntry and the rho they share."""
 
-    entries: list[SpectrumEntry]
-    rho: float
+    __slots__ = ()
 
     @classmethod
     def closed_form(cls, winding_number: int, ell: float, levels: int) -> "SpectrumTable":

@@ -1032,6 +1032,10 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
     (("figure", "fig3", "--ell-max", "1e300"), "is too large"),
     (("figure", "fig3", "--ell-max", "1.7976931348623157e308"),
      "10**log10(1.7976931348623157e+308) overflows"),
+    # A one-point grid has no step, but its point overflows the same way.
+    (("figure", "fig3", "--ell-min", "1.7976931348623155e308",
+      "--ell-max", "1.7976931348623157e308", "--ell-points", "1"),
+     "10**log10(1.7976931348623157e+308) overflows"),
     (("figure", "fig2", "--rho-min", "1e-320"), "(l + 1/2)**2 overflows"),
     (("verify", "ho", "--ell", "inf"), "l must be finite"),
     (("verify", "ho", "--ell", "nan"), "l must be finite"),
@@ -1082,6 +1086,7 @@ def test_table_cells_are_plain_python_types(capsys, monkeypatch, argv):
 ], ids=["spectrum-ell-inf", "spectrum-ell-nan", "spectrum-ell-negative", "contour-eps-inf",
         "contour-s-max-inf", "fig3-ell-max-inf", "spectrum-ell-1e308",
         "spectrum-ell-1e200", "fig3-ell-max-1e300", "fig3-ell-max-largest-float",
+        "fig3-one-point-at-largest-float",
         "fig2-rho-min-1e-320",
         "verify-ho-ell-inf", "verify-ho-ell-nan", "verify-ho-omega-inf",
         "verify-ho-points-2", "verify-ho-half-width-inf", "verify-ho-eps-inf",
@@ -1202,3 +1207,39 @@ def test_closed_form_commands_never_load_scipy():
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "low_lying"], env=env,
                           check=True, capture_output=True, text=True)
     assert json.loads(done.stdout) == ["toboggan.eigensolver", nothing, numpy_only, lapack]
+
+
+# Runs one command in a fresh interpreter and prints its exit code and the
+# modules that importing toboggan.cli and running the command added to
+# sys.modules.
+MODULES_PROBE = textwrap.dedent("""
+    import json, os, sys
+    before = set(sys.modules)
+    import toboggan.cli
+    code = toboggan.cli.main(sys.argv[1:] + ["--output", os.devnull])
+    print(json.dumps([code, sorted(set(sys.modules) - before)]))
+    """)
+
+CONTOUR_MODULES = {"toboggan", "toboggan.cli", "toboggan.contours", "toboggan.util"}
+CLOSED_FORM_MODULES = CONTOUR_MODULES | {"toboggan.spectra", "toboggan.expansion",
+                                         "toboggan.potentials", "toboggan.rectify"}
+
+
+@pytest.mark.parametrize("argv, own", [
+    (("contour", "--count", "3"), CONTOUR_MODULES),
+    (("figure", "fig1", "--count", "3"), CONTOUR_MODULES),
+    (("spectrum", "--ell", "4"), CLOSED_FORM_MODULES),
+    (("figure", "fig2", "--rho-points", "2"), CLOSED_FORM_MODULES),
+    (("figure", "fig3", "--ell-points", "2"), CLOSED_FORM_MODULES),
+], ids=["contour", "fig1", "spectrum", "fig2", "fig3"])
+def test_a_closed_form_command_loads_only_the_modules_it_runs(argv, own):
+    # No numpy, and none of the dataclasses and inspect machinery (with ast,
+    # dis and tokenize) that a @dataclass record would load.
+    src = str(Path(toboggan.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          check=True, capture_output=True, text=True)
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    assert not {"dataclasses", "inspect", "numpy"} & {name.split(".")[0] for name in loaded}
+    assert {name for name in loaded if name.split(".")[0] == "toboggan"} == own
