@@ -20,11 +20,8 @@ _EXPORTS = {
         "ShiftCollisionError", "TridiagonalSystem", "build_tridiagonal",
         "inverse_iteration", "low_lying", "resolved_discretization"),
     "expansion": (
-        "RescaledForm", "StationaryFamily", "TaylorExpansion",
-        "cubic_correction_exponent", "harmonic_frequency", "mu_coefficient",
-        "power_terms", "power_terms_ho", "rescale", "stationary_points",
-        "stationary_points_ho", "tau_general", "tau_ho", "taylor_at", "taylor_ho",
-        "taylor_rectified", "weight_correction_exponent"),
+        "TaylorExpansion", "power_terms", "power_terms_ho", "tau_general", "tau_ho",
+        "taylor_at", "taylor_ho", "taylor_rectified"),
     "potentials": ("HOSpec", "SingularPointError", "v_eff_cubic", "v_eff_ho"),
     "rectify": ("RectifiedProblem", "angular_map", "build_rectified",
                 "rectified_potential", "weight"),

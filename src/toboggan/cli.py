@@ -39,7 +39,6 @@ user sets wins, and main() called in process leaves the environment alone.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -196,6 +195,7 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], columns: tup
                     raise ValueError(f"column {name} is not finite in row {number} "
                                      f"of {len(column)}: {cell!r}")
     if args.format == "json":
+        import json  # only JSON tables, --config and verify read it
         meta = meta or {}
         document = json.dumps({**meta, key: []} if key else [], indent=2)
         cut = document.rindex("[]") + 1
@@ -231,6 +231,7 @@ def _with_config(parser: _Parser, argv: list[str],
     right after the command's words (`figure fig1`, `verify ho`), for the
     options that command has: argparse converts and checks them as typed,
     and the user's own flags, later in argv, win however they are spelled."""
+    import json
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -353,6 +354,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g_n the grid's truncation error on the grid solved on, both from the
     level's record.  Every target writes one report: problem, grid, one
     record per level, the target's extras and the verdict."""
+    import json
     from . import eigensolver, spectra  # only verify runs eigensolver, which loads numpy
 
     winding, ell, count = VERIFY_TARGETS[args.target][0], args.ell, args.levels

@@ -1,44 +1,28 @@
-"""Stationary points, tau scales, and local Taylor data of the large-l regime.
+"""The tau scales and local Taylor data of the large-l regime.
 
-Every potential handled here is a two-term power law c1*y**p1 + c2*y**p2, so
-its stationary points form a regular polygon in the complex plane and the
-Taylor coefficients at the selected root -i*tau follow from exact analytic
-differentiation of each term.  Finite differences appear nowhere in this
-module; they serve only as an independent cross-check in the test suite.
+Every potential handled here is a two-term power law c1*y**p1 + c2*y**p2.
+Its stationary points lie on a circle of radius tau, and the closed forms
+expand at the selected one, -i*tau, where the Taylor coefficients follow from
+exact analytic differentiation of each term.  Finite differences appear
+nowhere in this module; they serve only as an independent cross-check in the
+test suite.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 
 from .potentials import HOSpec, SingularPointError
-from .rectify import RectifiedProblem, angular_map, build_rectified
+from .rectify import RectifiedProblem, angular_map
 from .util import zpow
 
 PowerTerms = Sequence[tuple[complex, int]]
 
 
-class StationaryFamily(namedtuple("StationaryFamily", "roots tau")):
-    """The full polygon of stationary points, a tuple of complex with
-    roots[0] = -i*tau, and tau."""
-
-    __slots__ = ()
-
-
 class TaylorExpansion(namedtuple("TaylorExpansion", "base_point value harmonic cubic")):
     """Local data V(T), V''(T)/2, V'''(T)/6 of a potential at base_point T."""
-
-    __slots__ = ()
-
-
-class RescaledForm(namedtuple("RescaledForm", [
-        "sigma", "harmonic_rescaled", "cubic_rescaled", "constant_rescaled"])):
-    """Coefficients after the xi -> sigma*xi rescaling of the local problem:
-    cubic_rescaled is complex, the others are floats."""
 
     __slots__ = ()
 
@@ -92,30 +76,6 @@ def power_terms_ho(spec: HOSpec) -> list[tuple[complex, int]]:
     return [(complex(ell * (ell + 1.0)), -2), (complex(omega * omega), 2)]
 
 
-def stationary_points(problem: RectifiedProblem) -> StationaryFamily:
-    """All 10N+5 stationary points of the rectified potential.
-
-    They form a regular polygon T_j = -i*tau * exp(2 pi i j/(10N+5)); the
-    selected root (index 0) is -i*tau, the one a straight line with shift
-    tau passes through.
-    """
-    n = problem.winding_number
-    count = 10 * n + 5
-    tau = tau_general(n, problem.ell)
-    step = cmath.exp(2j * cmath.pi / count)
-    roots = [complex(-1j * tau)]
-    for _ in range(count - 1):
-        roots.append(roots[-1] * step)
-    return StationaryFamily(tuple(roots), tau)
-
-
-def stationary_points_ho(spec: HOSpec) -> StationaryFamily:
-    """The four stationary points (-i)**j tau, j = 1..4, of the oscillator."""
-    tau = tau_ho(spec)
-    roots = (complex(-1j * tau), complex(-tau), complex(1j * tau), complex(tau))
-    return StationaryFamily(roots, tau)
-
-
 def taylor_at(terms: PowerTerms, point: complex) -> TaylorExpansion:
     """Exact Taylor data of sum(c * y**p) at `point`.
 
@@ -158,71 +118,3 @@ def taylor_ho(spec: HOSpec) -> TaylorExpansion:
     """
     tau = tau_ho(spec)
     return taylor_at(power_terms_ho(spec), -1j * tau)
-
-
-def harmonic_frequency(winding_number: int) -> float:
-    """omega_N = (2N+1) sqrt((10N+3)(10N+5)/2); harmonic = omega_N**2 tau**(10N+1)."""
-    n = int(winding_number)
-    return (2 * n + 1) * math.sqrt((10 * n + 3) * (10 * n + 5) / 2.0)
-
-
-def mu_coefficient(winding_number: int, ell: float) -> complex:
-    """Cubic Taylor coefficient at -i*tau, normalized by tau**(10N).
-
-    Purely imaginary for the whole rectified family; equals -5i at N = 0.
-    """
-    n = int(winding_number)
-    problem = build_rectified(n, ell)
-    tau = tau_general(n, ell)
-    return taylor_rectified(problem).cubic / tau ** (10 * n)
-
-
-def rescale(expansion: TaylorExpansion, winding_number: int, tau: float) -> RescaledForm:
-    """Rescale xi -> sigma*xi with sigma = tau**(-(10N+1)/4).
-
-    After multiplying the eigenvalue equation by sigma**2, the harmonic
-    coefficient becomes the tau-free constant (2N+1)**2 (10N+3)(10N+5)/2,
-    the constant term is scaled by sigma**2 and the cubic one by sigma**5.
-    The analytically real constant and harmonic parts must have relative
-    imaginary residue below 1e-12; anything larger raises instead of being
-    silently dropped.
-    """
-    n = int(winding_number)
-    if not tau > 1.0:
-        warnings.warn("tau <= 1: asymptotic rescaling used outside its regime",
-                      RuntimeWarning, stacklevel=2)
-    sigma = tau ** (-(10 * n + 1) / 4.0)
-    harmonic = _checked_real(expansion.harmonic, "harmonic coefficient")
-    constant = _checked_real(expansion.value, "constant term")
-    return RescaledForm(
-        sigma=sigma,
-        harmonic_rescaled=harmonic * sigma ** 4,
-        cubic_rescaled=expansion.cubic * sigma ** 5,
-        constant_rescaled=constant * sigma ** 2,
-    )
-
-
-def cubic_correction_exponent(winding_number: float) -> float:
-    """tau-exponent -(10N+5)/4 of the rescaled anharmonic correction."""
-    return -(10.0 * winding_number + 5.0) / 4.0
-
-
-def weight_correction_exponent(winding_number: float) -> float:
-    """tau-exponent -(14N+7)/4 the paper gives the first xi-dependent weight
-    correction, kept as the record of its claim that the correction is
-    subdominant to the anharmonic one.
-
-    The claim does not hold for N >= 1: at the levels, E*W_y is of the same
-    order in l as V_y (both grow like l**(26/15) at N = 1), so it is not a
-    correction but moves the well from -i*tau_N to the preimage
-    y* = -i*tau_0**(1/(2N+1)) of the N = 0 well, whose levels are the N = 0
-    levels energy_cubic.
-    """
-    return -(14.0 * winding_number + 7.0) / 4.0
-
-
-def _checked_real(z: complex, what: str) -> float:
-    z = complex(z)
-    if abs(z.imag) > 1e-12 * max(1.0, abs(z)):
-        raise ValueError(f"{what} has a non-negligible imaginary part: {z!r}")
-    return z.real

@@ -18,7 +18,11 @@ def energy_toboggan(winding_number: int, ell: float, n: int) -> float:
     with tau = tau_general(N, l).  Asymptotic in l; at N = 0 the first
     neglected term is energy_cubic_correction, not energy_error_scale.  For
     N >= 1 the finite-difference oracle finds the N = 0 levels energy_cubic
-    instead (see expansion.weight_correction_exponent).
+    instead.  The paper calls its first xi-dependent weight correction, of
+    order tau**(-(14N+7)/4), subdominant to the anharmonic one; it is not.
+    At the levels E*W_y is of the same order in l as V_y (both grow like
+    l**(26/15) at N = 1), so it moves the well from -i*tau_N to the
+    preimage y* = -i*tau_0**(1/(2N+1)) of the N = 0 well.
     """
     if n != int(n) or n < 0:
         raise ValueError("quantum number n must be a non-negative integer")

@@ -12,10 +12,11 @@ import numpy as np
 from conftest import fd_taylor, loglog_slope, rel_err
 from toboggan.eigensolver import low_lying, resolved_discretization
 from toboggan.expansion import (
-    harmonic_frequency,
     power_terms,
     power_terms_ho,
     tau_general,
+    tau_ho,
+    taylor_at,
     taylor_rectified,
 )
 from toboggan.potentials import HOSpec
@@ -124,15 +125,15 @@ def test_criterion_4_taylor_engine():
         expansion = taylor_rectified(build_rectified(winding, ell))
         odd = 2 * winding + 1
         value = -0.5 * odd ** 2 * (10 * winding + 5) * tau ** (10 * winding + 3)
-        harmonic = harmonic_frequency(winding) ** 2 * tau ** (10 * winding + 1)
+        harmonic = (odd ** 2 * (10 * winding + 3) * (10 * winding + 5) / 2.0
+                    * tau ** (10 * winding + 1))
         checks.append(rel_err(expansion.value, value) < 1e-10)
         checks.append(rel_err(expansion.harmonic, harmonic) < 1e-10)
 
     # Oscillator curvature at all four stationary points.
     spec = HOSpec(angular=25.0, frequency=1.7)
-    from toboggan.expansion import stationary_points_ho, taylor_at
-    family = stationary_points_ho(spec)
-    for root in family.roots:
+    tau = tau_ho(spec)
+    for root in (-1j * tau, -tau, 1j * tau, tau):
         curvature = 2.0 * taylor_at(power_terms_ho(spec), root).harmonic
         checks.append(rel_err(curvature, 8.0 * spec.frequency ** 2) < 5e-14)
 

@@ -5,21 +5,13 @@ import pytest
 
 from conftest import fd_taylor, rel_err
 from toboggan.expansion import (
-    TaylorExpansion,
-    cubic_correction_exponent,
-    harmonic_frequency,
-    mu_coefficient,
     power_terms,
     power_terms_ho,
-    rescale,
-    stationary_points,
-    stationary_points_ho,
     tau_general,
     tau_ho,
     taylor_at,
     taylor_ho,
     taylor_rectified,
-    weight_correction_exponent,
 )
 from toboggan.potentials import HOSpec, SingularPointError
 from toboggan.rectify import build_rectified
@@ -72,44 +64,25 @@ def _derivative(terms, point):
 
 @pytest.mark.parametrize("winding,ell", [(0, 4.0), (1, 4.0), (2, 7.0), (3, 2.5)])
 def test_stationary_points_polygon(winding, ell):
+    # Every vertex -i*tau*exp(2 pi i j/(10N+5)) of the polygon kills the
+    # derivative, relative to the curvature scale; j = 0 is the selected root.
     problem = build_rectified(winding, ell)
-    family = stationary_points(problem)
+    tau = tau_general(winding, ell)
     count = 10 * winding + 5
-    assert len(family.roots) == count
-    assert family.roots[0] == complex(0.0, -family.tau)
-    step = np.exp(2j * np.pi / count)
-    for a, b in zip(family.roots, family.roots[1:]):
-        assert b == pytest.approx(a * step, rel=1e-12)
-    # Every root kills the derivative, relative to the curvature scale.
+    roots = [-1j * tau * np.exp(2j * np.pi * j / count) for j in range(count)]
+    expansion = taylor_rectified(problem)
+    assert expansion.base_point == complex(0.0, -tau)
     terms = power_terms(problem)
-    curvature = abs(taylor_rectified(problem).harmonic) * 2.0
-    for root in family.roots:
-        assert abs(_derivative(terms, root)) < 1e-10 * curvature * family.tau
-
-
-@pytest.mark.parametrize("winding", range(20))
-def test_stationary_points_equal_numpy_polygon_bit_for_bit(winding):
-    # The step is cmath.exp(2 pi i/(10N+5)); the polygon it spans must be the
-    # one numpy's exp gives, to the last bit of every root.
-    problem = build_rectified(winding, 37.5)
-    family = stationary_points(problem)
-    step = np.exp(2j * np.pi / (10 * winding + 5))
-    expected = [complex(0.0, -family.tau)]
-    for _ in family.roots[1:]:
-        expected.append(complex(expected[-1] * step))
-    assert [(z.real, z.imag) for z in family.roots] \
-        == [(z.real, z.imag) for z in expected]
+    for root in roots:
+        assert abs(_derivative(terms, root)) < 1e-10 * abs(expansion.harmonic) * 2.0 * tau
 
 
 def test_stationary_points_ho():
     spec = HOSpec(angular=1.0, frequency=2.0)
-    family = stationary_points_ho(spec)
-    tau = family.tau
+    tau = tau_ho(spec)
     assert tau == pytest.approx(2.0 ** -0.25, rel=1e-15)
-    assert family.roots == (complex(0, -tau), complex(-tau), complex(0, tau),
-                            complex(tau))
-    # V'' = 8 omega**2 at every root.
-    for root in family.roots:
+    # V'' = 8 omega**2 at every one of the four roots (-i)**j tau.
+    for root in (-1j * tau, -tau, 1j * tau, tau):
         expansion = taylor_at(power_terms_ho(spec), root)
         assert 2.0 * expansion.harmonic == pytest.approx(8.0 * 4.0, rel=5e-14)
 
@@ -153,16 +126,12 @@ def test_taylor_general_closed_forms_exact_root_condition(winding):
     expansion = taylor_rectified(problem)
     odd = 2 * winding + 1
     value_closed = -0.5 * odd ** 2 * (10 * winding + 5) * tau ** (10 * winding + 3)
-    harmonic_closed = harmonic_frequency(winding) ** 2 * tau ** (10 * winding + 1)
+    harmonic_closed = (odd ** 2 * (10 * winding + 3) * (10 * winding + 5) / 2.0
+                       * tau ** (10 * winding + 1))
     assert rel_err(expansion.value, value_closed) < 1e-12
     assert rel_err(expansion.harmonic, harmonic_closed) < 1e-10
-
-
-def test_harmonic_frequency_recipe():
-    for winding in range(5):
-        explicit = (2 * winding + 1) * math.sqrt(
-            (10 * winding + 3) * (10 * winding + 5) / 2.0)
-        assert harmonic_frequency(winding) == explicit
+    # The cubic coefficient is purely imaginary for the whole family.
+    assert abs(expansion.cubic.real) < 1e-10 * abs(expansion.cubic.imag)
 
 
 def test_taylor_at_rejects_origin():
@@ -190,81 +159,3 @@ def test_taylor_matches_finite_differences():
         assert rel_err(expansion.value, value) < 1e-6
         assert rel_err(expansion.harmonic, harmonic) < 1e-6
         assert rel_err(expansion.cubic, cubic) < 1e-6
-
-
-def test_mu_coefficient_cubic():
-    assert mu_coefficient(0, 1e6) == pytest.approx(-5j, rel=1e-4)
-    # The root condition holds exactly at any l, so the value is -5i even
-    # far from the asymptotic regime.
-    assert mu_coefficient(0, 3.0) == pytest.approx(-5j, rel=1e-12)
-
-
-def test_mu_coefficient_against_finite_differences():
-    winding, ell = 1, 100.0
-    problem = build_rectified(winding, ell)
-    tau = tau_general(winding, ell)
-    point = complex(0.0, -tau)
-    _, _, cubic = fd_taylor(power_terms(problem), point, 1e-5 * tau)
-    assert rel_err(mu_coefficient(winding, ell), cubic / tau ** 10) < 1e-6
-
-
-def test_mu_coefficient_purely_imaginary():
-    for winding in range(4):
-        mu = mu_coefficient(winding, 1e6)
-        assert abs(mu.real) < 1e-10 * abs(mu.imag)
-
-
-def test_rescale_cubic():
-    ell = 100.0
-    tau = tau_general(0, ell)
-    form = rescale(taylor_rectified(build_rectified(0, ell)), 0, tau)
-    assert form.sigma == pytest.approx(tau ** -0.25, rel=1e-15)
-    assert form.harmonic_rescaled == pytest.approx(7.5, rel=1e-12)
-    assert abs(form.cubic_rescaled) == pytest.approx(5.0 * form.sigma ** 5, rel=1e-10)
-    assert form.constant_rescaled == pytest.approx(-2.5 * tau ** 2.5, rel=1e-12)
-
-
-def test_rescale_sigma_examples():
-    expansion = taylor_rectified(build_rectified(0, 1e3))
-    assert rescale(expansion, 0, 16.0).sigma == pytest.approx(0.5, rel=1e-15)
-    # sigma decreases with the winding number at fixed tau > 1.
-    sigmas = [rescale(expansion, winding, 2.0).sigma for winding in range(5)]
-    assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
-    assert all(s < 1.0 for s in sigmas)
-
-
-def test_rescale_warns_outside_asymptotic_regime():
-    expansion = taylor_rectified(build_rectified(0, 1e3))
-    with pytest.warns(RuntimeWarning):
-        rescale(expansion, 0, 0.9)
-
-
-@pytest.mark.parametrize("harmonic, value, what", [
-    (1.0 + 1e-6j, 1.0, "harmonic coefficient"),
-    (1.0, 1.0 + 1e-6j, "constant term"),
-])
-def test_rescale_rejects_a_complex_real_part(harmonic, value, what):
-    # The constant and harmonic parts are real in exact arithmetic; a
-    # residue above 1e-12 relative is raised, not dropped.
-    expansion = TaylorExpansion(base_point=-1j, value=value, harmonic=harmonic, cubic=-5j)
-    with pytest.raises(ValueError, match=f"{what} has a non-negligible imaginary part"):
-        rescale(expansion, 0, 2.0)
-
-
-def test_rescale_general_harmonic_collapses():
-    for winding in (1, 2, 3):
-        ell = 50.0
-        tau = tau_general(winding, ell)
-        form = rescale(taylor_rectified(build_rectified(winding, ell)), winding, tau)
-        odd = 2 * winding + 1
-        expected = odd ** 2 * (10 * winding + 3) * (10 * winding + 5) / 2.0
-        assert form.harmonic_rescaled == pytest.approx(expected, rel=1e-10)
-
-
-def test_correction_exponent_ordering():
-    for winding in [0, 1, 2, 3, 5, 10, 0.5, 2.25]:
-        cubic = cubic_correction_exponent(winding)
-        weight = weight_correction_exponent(winding)
-        assert weight < cubic
-        assert cubic == -(10 * winding + 5) / 4.0
-        assert weight == -(14 * winding + 7) / 4.0
