@@ -1,4 +1,5 @@
-"""Shared helpers: a high-precision finite-difference oracle for Taylor data.
+"""Shared helpers: a high-precision finite-difference oracle for Taylor data,
+and a fixture that fails any test leaving the garbage collector off.
 
 The third central difference amplifies rounding by h**-3, which at the
 stipulated step h = 1e-5*|T| swamps double precision, so the oracle runs in
@@ -8,10 +9,12 @@ never touches the analytic differentiation path it is checking.
 
 from __future__ import annotations
 
+import gc
 import warnings
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 # hypothesis imports libcst, when it is installed, to print the patch for a
 # falsifying example, and libcst warns at import (mypy_extensions.TypedDict
@@ -23,6 +26,19 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:
         pass
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fails a test that leaves the cyclic garbage collector off or objects
+    frozen, as toboggan.cli.run() leaves its process: every later test would
+    run without the collector.  Restores both first."""
+    yield
+    left = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    gc.unfreeze()
+    if left != (True, 0):
+        pytest.fail(f"collector left on={left[0]}, {left[1]} objects frozen")
 
 
 def fd_taylor(terms, point: complex, h: float):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -515,14 +516,16 @@ def test_a_closed_pipe_ends_the_run_quietly():
 
 
 # Runs toboggan.cli as `python -m toboggan.cli` does, then prints the exit
-# code and the number of OS threads the process ends with.
+# code, the number of OS threads the process ends with, whether the cyclic
+# garbage collector is on and how many objects are frozen.
 ENTRY_PROBE = textwrap.dedent("""
-    import os, runpy, sys
+    import gc, os, runpy, sys
     sys.argv = ["toboggan", *sys.argv[1:], "--output", os.devnull]
     try:
         runpy.run_module("toboggan.cli", run_name="__main__")
     except SystemExit as exc:
-        print(exc.code, len(os.listdir("/proc/self/task")))
+        print(exc.code, len(os.listdir("/proc/self/task")), int(gc.isenabled()),
+              gc.get_freeze_count())
     """)
 
 
@@ -532,33 +535,103 @@ ENTRY_PROBE = textwrap.dedent("""
 def test_entry_point_starts_openblas_with_one_thread(threads):
     # Left unset, OpenBLAS would start a worker per further core in numpy's
     # copy and in scipy's, which verify loads both of; the entry point sets
-    # one thread first.  A value the user sets wins.
+    # one thread first.  A value the user sets wins.  The process ends with
+    # the collector off and the heap frozen, so the exit collection skips it.
     if threads is not None and (os.cpu_count() or 1) < 2:
         pytest.skip("OpenBLAS starts no worker thread on one CPU")
     done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, "verify", "ho"],
                           env=_child_env(threads), check=True, capture_output=True,
                           text=True)
-    code, count = map(int, done.stdout.split())
+    code, count, collecting, frozen = map(int, done.stdout.split())
     assert code == 0
     assert count == 1 if threads is None else count > 1
+    assert not collecting and frozen > 0
 
 
 def test_entry_point_sets_the_thread_count_only_when_unset(capsys, monkeypatch):
     # run() sets a default the user's own value overrides; main() called in
     # process leaves the environment alone.
     monkeypatch.setattr(sys, "argv", ["toboggan", "spectrum", "--ell", "4"])
-    for value, after in ((None, "1"), ("3", "3")):
-        if value is None:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        assert cli.run() == 0
-        assert os.environ["OPENBLAS_NUM_THREADS"] == after
+    try:
+        for value, after in ((None, "1"), ("3", "3")):
+            if value is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+            assert cli.run() == 0
+            assert os.environ["OPENBLAS_NUM_THREADS"] == after
+    finally:  # run() leaves the collector off and the heap frozen
+        gc.enable()
+        gc.unfreeze()
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     before = dict(os.environ)
     for argv in (("spectrum", "--ell", "4"), ("verify", "cubic0")):
         assert run(capsys, *argv)[0] == 0
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("argv", [("contour", "--format", "json"), ("verify", "cubic0")],
+                         ids=["table", "verify"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv, collecting):
+    # Only run(), the process entry point, turns the collector off and
+    # freezes the heap; library callers and in-process benchmarks keep theirs.
+    if not collecting:
+        gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, 0)
+    finally:
+        gc.enable()
+
+
+# Every command, the tables in CSV and in JSON, with its size option and
+# about 100 times its default size.
+GROWN = [((*words, *fmt), flag, size)
+         for words, flag, size in ((("contour",), "--count", 32100),
+                                   (("figure", "fig1"), "--count", 32100),
+                                   (("figure", "fig2"), "--rho-points", 2500),
+                                   (("figure", "fig3"), "--ell-points", 2500),
+                                   (("spectrum", "--ell", "4"), "--levels", 500))
+         for fmt in ((), ("--format", "json"))] + [
+    (("verify", "ho"), "--points", 600100),
+    (("verify", "cubic0"), "--points", 60100),
+    (("verify", "toboggan1"), "--points", 60100)]
+USAGE_ERROR = (("contour", "--bogus"), "--count", 32100)
+
+
+@pytest.mark.parametrize("words, flag, size", [*GROWN, USAGE_ERROR],
+                         ids=[" ".join(w) for w, _, _ in [*GROWN, USAGE_ERROR]])
+def test_cyclic_garbage_does_not_grow_with_the_size(capsys, words, flag, size):
+    # run() keeps the collector off for the whole command, so what a command
+    # leaves in reference cycles stays until exit: that must be a fixed
+    # amount (json's encoder closures, argparse's usage error), not a share
+    # of the rows or grid points it computes.
+    argv = [*words, "--output", os.devnull]
+    run(capsys, *argv)  # the first call builds the parser and imports
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, *argv)
+        at_default = gc.collect()
+        run(capsys, *argv, flag, str(size))
+        grown = gc.collect()
+    finally:
+        gc.enable()
+    assert grown == at_default
+
+
+@pytest.mark.parametrize("argv", [words for words, _, _ in GROWN], ids=" ".join)
+def test_a_cold_command_writes_what_main_writes(capsys, tmp_path, argv):
+    # The cold process runs without the collector and main() in process with
+    # it: the --output file, stdout and exit code must not differ.
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    done = subprocess.run([sys.executable, "-m", "toboggan.cli", *argv, "--output", str(cold)],
+                          env=_child_env(None), capture_output=True)
+    code, out, _ = run(capsys, *argv, "--output", str(warm))
+    assert (done.returncode, done.stdout.decode(), cold.read_bytes()) == (
+        code, out, warm.read_bytes())
+    assert code == 0
 
 
 @pytest.mark.parametrize("points", [1, 601, 8192])
