@@ -13,11 +13,12 @@ CPU's SIMD features either; only verify loads numpy, whose SIMD paths can
 still move a last digit of its values from one CPU to another.  Each
 command imports only the modules it runs: contour and figure fig1 load
 contours and util, spectrum, fig2 and fig3 add spectra (with expansion,
-rectify and potentials), and verify adds eigensolver.  The closed-form
-records are namedtuples, so no command but verify loads dataclasses or
-inspect.  Numeric fields carry 17 significant digits unless the
-environment variable TOBOGGAN_PRECISION overrides the count.  Exit
-status: 0 success, 1 usage or domain error, 2 verification failure.
+rectify and potentials), and verify adds eigensolver.  Every record, the
+solver's too, is a namedtuple, so no command loads dataclasses, and none
+but verify loads inspect, which numpy imports.  Numeric fields carry 17
+significant digits unless the environment variable TOBOGGAN_PRECISION
+overrides the count.  Exit status: 0 success, 1 usage or domain error, 2
+verification failure.
 
 --config FILE's values go in as --option=value flags right after the
 command's words, so argparse checks them as typed and flags given later win.
@@ -53,6 +54,7 @@ import argparse
 import gc
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -70,9 +72,21 @@ SAFETY = 1.25
 # Rows a table writer formats with one % and writes at once.
 BLOCK_ROWS = 512
 
+# The arguments argparse takes for negative numbers, not options: every
+# negative decimal float literal, as -1, -1.5, -5. and -1e1; argparse's own
+# pattern leaves out the last two forms.  Compiled with the first parser,
+# not at import.
+NEGATIVE_NUMBER = r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; remap to 1, as `toboggan: error:`."""
+    """argparse exits 2 on usage errors; remap to 1, as `toboggan: error:`.
+    An option's value may be any negative decimal float literal: argparse
+    alone reads --s-min -1e1 as two options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(NEGATIVE_NUMBER)
 
     def error(self, message):
         self.print_usage(sys.stderr)

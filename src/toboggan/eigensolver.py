@@ -31,7 +31,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import partial
 from typing import Callable, Sequence
 
@@ -108,33 +108,36 @@ class DegenerateEigenvaluesError(RuntimeError):
     """Two seeds converged to the same eigenvalue."""
 
 
-@dataclass(frozen=True)
-class Discretization:
+class Discretization(namedtuple("Discretization", "half_width points shift_eps")):
     """Uniform grid s_k = -S + k*h, k = 0..K-1, on the line s - i*eps.
 
     Converged spectra want points >= 64; grids down to 3 points, the fewest
     scipy's gttrf takes, are accepted for algebraic tests of the matrices.
     """
 
-    half_width: float
-    points: int
-    shift_eps: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
+    def __new__(cls, half_width: float, points: int, shift_eps: float):
+        if not (math.isfinite(half_width) and half_width > 0):
             raise ValueError("half_width must be finite and positive, "
-                             f"got half_width = {self.half_width:g}")
-        if self.points < 3:
-            raise ValueError(f"need at least 3 grid points, got points = {self.points}")
-        if not (math.isfinite(self.shift_eps) and self.shift_eps > 0):
+                             f"got half_width = {half_width:g}")
+        if points < 3:
+            raise ValueError(f"need at least 3 grid points, got points = {points}")
+        if not (math.isfinite(shift_eps) and shift_eps > 0):
             raise ValueError("shift_eps must be finite and positive, "
-                             f"got shift_eps = {self.shift_eps:g}")
+                             f"got shift_eps = {shift_eps:g}")
+        self = super().__new__(cls, half_width, points, shift_eps)
         h2 = self.step * self.step
         if not (0 < h2 < math.inf and 1.0 / h2 < math.inf):
             size, what = (("large", "step**2") if h2 == math.inf
                           else ("small", "1/step**2"))
-            raise ValueError(f"half_width = {self.half_width:g} is too {size} for "
-                             f"{self.points} points: {what} overflows")
+            raise ValueError(f"half_width = {half_width:g} is too {size} for "
+                             f"{points} points: {what} overflows")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so _replace checks too
+        return cls(*iterable)
 
     @property
     def step(self) -> float:
@@ -145,30 +148,23 @@ class Discretization:
         return s - 1j * self.shift_eps
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(namedtuple("EigenResult", "eigenvalue residual iterations converged")):
     """One converged (or abandoned) inverse-iteration run.
 
     When converged is True the residual satisfies the backward-error bound
     residual <= tol * (|A|_inf + |eigenvalue| |B|_inf) for the tol supplied.
     """
 
-    eigenvalue: complex
-    residual: float
-    iterations: int
-    converged: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Level(EigenResult):
+class Level(namedtuple("Level", EigenResult._fields
+                       + ("seed", "closed_form", "series", "grid_error")), EigenResult):
     """Level n of low_lying: seed n's run, the closed forms it was seeded at
     and is held to, the latter's first omitted series term (0 where it is
     exact), and the 3-point scheme's predicted error on the grid solved on."""
 
-    seed: float
-    closed_form: float
-    series: float
-    grid_error: float
+    __slots__ = ()
 
 
 class TridiagonalSystem:
@@ -326,21 +322,14 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
                        MAX_SWEEPS, False)
 
 
-@dataclass(frozen=True)
-class _Problem:
+class _Problem(namedtuple("_Problem", "potential weight seed closed_form series gap "
+                                       "harmonic grid")):
     """One oracle problem: evaluators on the grid; level n's seed, closed
     form and series term as in Level; the closed-form gap, the real harmonic
     Taylor coefficient at the well, and the automatic grid low_lying solves
     on when handed none (rule in its docstring)."""
 
-    potential: Callable
-    weight: Callable | None
-    seed: Callable[[int], float]
-    closed_form: Callable[[int], float]
-    series: Callable[[int], float]
-    gap: float
-    harmonic: float
-    grid: Discretization
+    __slots__ = ()
 
     def grid_error(self, n: int, step: float) -> float:
         """Leading 3-point error of level n at step h: the symbol
@@ -384,7 +373,7 @@ def resolved_discretization(model: str, ell: float, *, winding: int = 0,
     put in place: the grid to hand to low_lying."""
     grid = _problem(model, ell, winding, omega).grid
     given = {"points": points, "half_width": half_width, "shift_eps": eps}
-    return replace(grid, **{k: v for k, v in given.items() if v is not None})
+    return grid._replace(**{k: v for k, v in given.items() if v is not None})
 
 
 def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
@@ -455,7 +444,7 @@ def low_lying(model: str, ell: float, count: int, *, winding: int = 0,
                 f"seeds {complex(seeds[twin])!r} and {complex(seeds[n])!r} both "
                 f"converged to {result.eigenvalue!r} (residuals "
                 f"{results[twin].residual:.3e} and {result.residual:.3e})")
-        results.append(Level(**vars(result), seed=seeds[n], closed_form=closed[n],
+        results.append(Level(*result, seed=seeds[n], closed_form=closed[n],
                              series=problem.series(n),
                              grid_error=problem.grid_error(n, grid.step)))
     return results

@@ -1258,6 +1258,22 @@ def test_a_contour_span_of_subnormals_keeps_its_bytes(capsys, end):
         0, "s,re,im\n" + SUBNORMAL_SPANS[end], "")
 
 
+@pytest.mark.parametrize("command", [("contour",), ("figure", "fig1")], ids=["contour", "fig1"])
+@pytest.mark.parametrize("value", ["-1e1", "-1E+1", "-.1e2", "-10.", "-1.0e1"])
+def test_a_negative_float_literal_may_follow_its_option(capsys, command, value):
+    # argparse alone reads "--s-min -1e1" as two options and exits 1.
+    spaced = run(capsys, *command, "--count", "3", "--s-min", value, "--s-max", "1")
+    joined = run(capsys, *command, "--count", "3", f"--s-min={value}", "--s-max", "1")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1].split("\n")[1].split(",")[-3] == "-10"
+
+
+def test_a_spaced_negative_eps_reaches_its_domain_check(capsys):
+    assert run(capsys, "verify", "ho", "--eps", "-1e-3") == (
+        1, "", "toboggan: error: shift_eps must be finite and positive, "
+               "got shift_eps = -0.001\n")
+
+
 def test_closed_form_commands_never_load_scipy():
     # Fresh interpreters, so that no earlier test has imported numpy or scipy.
     # Only the solver (verify, low_lying) loads numpy at import and scipy's
@@ -1318,3 +1334,18 @@ def test_a_closed_form_command_loads_only_the_modules_it_runs(argv, own):
     assert not ({"dataclasses", "inspect", "json", "numpy"}
                 & {name.split(".")[0] for name in loaded})
     assert {name for name in loaded if name.split(".")[0] == "toboggan"} == own
+
+
+@pytest.mark.parametrize("target", ["ho", "cubic0", "toboggan1"])
+def test_verify_loads_no_dataclasses(target):
+    # Every record, the solver's too, is a namedtuple.  numpy itself loads
+    # inspect, so that module is not checked here.
+    src = str(Path(toboggan.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, "verify", target],
+                          env={**os.environ, "PYTHONPATH": src},
+                          check=True, capture_output=True, text=True)
+    code, loaded = ast.literal_eval(done.stdout)
+    assert code == 0
+    assert "dataclasses" not in {name.split(".")[0] for name in loaded}
+    assert ({name for name in loaded if name.split(".")[0] == "toboggan"}
+            == CLOSED_FORM_MODULES | {"toboggan.eigensolver"})

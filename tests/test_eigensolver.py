@@ -322,6 +322,19 @@ def test_inverse_iteration_converges_to_the_seeded_eigenvalue(pencil):
     assert result.residual <= tol * (norm_a + abs(result.eigenvalue) * norm_b)
 
 
+@pytest.mark.xfail(strict=True, reason="inverse_iteration starts from B times the all-ones "
+                   "vector, here the eigenvector of 2, so its sweeps never leave it")
+def test_inverse_iteration_finds_the_eigenvalue_nearest_a_shift_whatever_its_start():
+    # A = [[1, 1, 0], [1, 0, 1], [0, 1, 1]] and B = I: eigenvalues 2, 1 and -1,
+    # and (1, 1, 1) is the eigenvector of 2.  The shift -0.875 is nearest -1,
+    # but the run converges at once to 2 with residual 0.
+    system = TridiagonalSystem(np.array([1.0, 0.0, 1.0], complex), 1.0 + 0j,
+                               np.ones(3, complex))
+    result = inverse_iteration(system, -0.875)
+    assert result.converged
+    assert abs(result.eigenvalue + 1.0) <= 1e-8
+
+
 def test_converged_residual_respects_tolerance():
     disc = Discretization(10.0, 1001, shift_eps=1.0)
     system = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)

@@ -14,6 +14,7 @@ import pytest
 import toboggan
 from toboggan.cli import main
 from toboggan.contours import WindingContour
+from toboggan.eigensolver import Discretization, EigenResult, Level
 from toboggan.expansion import taylor_rectified
 from toboggan.potentials import HOSpec
 from toboggan.rectify import build_rectified
@@ -130,8 +131,10 @@ def test_import_toboggan_loads_no_submodule_and_a_name_only_its_own():
 def _records():
     problem = build_rectified(1, 4.0)
     table = SpectrumTable.closed_form(1, 4.0, 2)
+    result = EigenResult(2.0 + 0j, 0.0, 2, True)
     return [WindingContour(1, 1.0), HOSpec(2.0), problem, taylor_rectified(problem),
-            table, table.entries[0]]
+            table, table.entries[0], Discretization(1.0, 3, 0.1), result,
+            Level(*result, seed=1.9, closed_form=2.0, series=0.0, grid_error=0.0)]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
@@ -149,6 +152,10 @@ def test_records_are_immutable(record):
     (WindingContour(1, 1.0), {"winding_number": -1}),
     (HOSpec(2.0), {"frequency": 0.0}),
     (HOSpec(2.0), {"angular": float("nan")}),
+    (Discretization(1.0, 3, 0.1), {"half_width": 0.0}),
+    (Discretization(1.0, 3, 0.1), {"points": 2}),
+    (Discretization(1.0, 3, 0.1), {"shift_eps": float("nan")}),
+    (Discretization(1.0, 3, 0.1), {"half_width": 1e300}),  # step**2 overflows
 ])
 def test_checked_records_check_a_replaced_field_too(record, bad):
     with pytest.raises(ValueError):
