@@ -46,6 +46,12 @@ few dozen objects in cycles, however large its output, and none relies on
 the collector to finish its output: --output files close in a with block
 and stdout is flushed at exit.  main() touches neither setting, so library
 callers, tests and in-process benchmarks keep their collector.
+
+--output FILE is rewritten in place: opened without truncating, then cut
+to its new length after the write, a raise included, so it holds exactly
+what was written.  Only a regular file is cut; /dev/null, pipes and
+terminals are written as they are.  Nothing is fsynced, so a process
+killed mid-write may leave the old file's tail after the new bytes.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ import gc
 import math
 import os
 import re
+import stat
 import sys
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -187,13 +194,35 @@ def _output_options(p: argparse.ArgumentParser, table: bool = True) -> None:
                        help="output format (default csv)")
 
 
+def _keep_length(path: str, flags: int) -> int:
+    """open()'s opener for "w" without O_TRUNC, at open()'s own mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextmanager
 def _open_output(path: str | None):
+    """Standard output, or the file at `path` rewritten in place.
+
+    The file is opened for writing without O_TRUNC and, once the body ends
+    (a raise included), cut at the length written, so it holds exactly the
+    bytes written, as open(path, "w") would leave it.  Only a regular file
+    is cut: ftruncate fails on /dev/null, a pipe or a terminal, and those
+    keep no old bytes.  Truncating a file that already holds data before
+    writing costs hundreds of microseconds on some disk file systems (ext4
+    mounted with discard), which cutting it after the write avoids.
+    Nothing is fsynced: a process killed mid-write may leave the old
+    file's tail after the new bytes, where open(path, "w") would leave a
+    short file.
+    """
     if path is None:
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as stream:
-            yield stream
+        with open(path, "w", encoding="utf-8", opener=_keep_length) as stream:
+            try:
+                yield stream
+            finally:
+                if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                    stream.truncate()  # at the written length
 
 
 def _write_table(args: argparse.Namespace, header: tuple[str, ...], columns: tuple[list, ...],

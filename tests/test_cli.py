@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -765,13 +766,61 @@ def test_precision_environment_range(capsys, monkeypatch, value, digits):
     assert parse_csv(out)[1][0][4] == f"%.{digits}g" % energy_cubic(4.0, 0)
 
 
-def test_output_file_writing(capsys, tmp_path):
-    target = tmp_path / "contour.csv"
-    code, out, _ = run(capsys, "contour", "--N", "0", "--eps", "1",
-                       "--count", "3", "--output", str(target))
+@pytest.mark.parametrize("old", [None, b"x" * 65536], ids=["new", "over-longer"])
+@pytest.mark.parametrize("argv", [("contour", "--N", "0", "--eps", "1", "--count", "3"),
+                                  ("verify", "ho", "--levels", "1")],
+                         ids=["csv", "verify"])
+def test_output_file_writing(capsys, tmp_path, argv, old):
+    # --output rewrites a file in place and cuts it after the write, so a
+    # short output over a longer file leaves no old byte behind.
+    code, expected, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    if old is not None:
+        target.write_bytes(old)
+    code_file, out, _ = run(capsys, *argv, "--output", str(target))
+    assert (code_file, out) == (code, "")
+    assert target.read_text() == expected
+
+
+def test_output_file_keeps_the_prefix_written_before_a_raise(tmp_path):
+    target = tmp_path / "out"
+    target.write_bytes(b"x" * 65536)
+    with pytest.raises(RuntimeError):
+        with cli._open_output(str(target)) as out:
+            out.write("s,re,im\n0,")
+            raise RuntimeError
+    assert target.read_bytes() == b"s,re,im\n0,"
+
+
+def test_output_file_is_opened_without_truncating(capsys, tmp_path, monkeypatch):
+    # Truncating a file that holds data costs more than the whole write on
+    # some disk file systems; the file is cut after the write instead.
+    target, opened, os_open = tmp_path / "out", [], os.open
+    target.write_bytes(b"x" * 65536)
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    code, _, _ = run(capsys, "contour", "--count", "3", "--output", str(target))
     assert code == 0
-    assert out == ""
-    assert target.read_text().startswith("s,re,im\n")
+    flags = [flag for path, flag in opened if path == str(target)]
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_output_file_is_created_with_the_mode_open_gives(capsys, tmp_path):
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        code, _, _ = run(capsys, "contour", "--count", "3", "--output",
+                         str(tmp_path / "out"))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "out").stat().st_mode) \
+        == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
 
 
 def test_contour_csv_round_trips_17_digits(capsys):
