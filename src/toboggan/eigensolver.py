@@ -7,9 +7,12 @@ shifted inverse iteration on the complex tridiagonal pencil (A, B).
 
 The pencil is complex symmetric (A = A^T, B diagonal), so the stationary
 eigenvalue estimate is the bilinear Rayleigh quotient v^T A v / v^T B v.
-Each sweep takes it from the right-hand side b of its own solve
-(A - shift*B) w = b, as shift + w^T b / w^T B w, with no product A w; A v
-is formed only on the sweeps that read the residual.
+Each sweep scales its solve w of (A - shift*B) w = b by an exact power of
+two, v = 2**-e w, and takes the estimate from the right-hand side b as
+shift + 2**-e v^T b / v^T B v, with no product A v; A v is formed only on
+the sweeps that read the residual.  Where W is 1 on the whole grid (the
+oscillator, and the cubic at winding 0), B is the identity and a sweep
+forms no product by it.
 
 The tridiagonal LU factorization (LAPACK gttrf/gttrs) is computed once per
 shift and reused across iterations; B is diagonal throughout, so every sweep
@@ -171,24 +174,28 @@ class TridiagonalSystem:
     """Pencil A v = lambda B v with constant off-diagonal and diagonal B.
 
     diag and off are A's diagonal and off-diagonal, weight is B's diagonal,
-    and norm_a and norm_b are the infinity norms of A and B.  The other
-    eight arrays are inverse_iteration's buffers, allocated here and
-    refilled on every call, so one system takes one solve at a time: dl, d
-    and du take the diagonals of A - shift*B and then their LU factors; rhs
-    and bv are the two vector buffers, rhs holding the right-hand side and
-    then v, bv taking B v, and they trade roles every sweep; av keeps a copy
-    of the right-hand side and, on the sweeps that read the residual, takes
-    A v; scratch takes the off-diagonal terms of A v and the residual, and
-    modulus the moduli of v or of the residual.
+    and norm_a and norm_b are the infinity norms of A and B.  identity says
+    whether every weight is exactly 1, so that B is the identity: checked
+    once here, it spares inverse_iteration every product by B.  The other
+    arrays are inverse_iteration's buffers, allocated here and refilled on
+    every call, so one system takes one solve at a time: dl, d and du take
+    the diagonals of A - shift*B and then their LU factors; rhs and bv are
+    the two vector buffers, rhs holding the right-hand side and then v, bv
+    taking B v, and they trade roles every sweep (for the identity bv is rhs
+    itself, since B v is v); av keeps a copy of the right-hand side and, on
+    the sweeps that read the residual, takes A v; scratch takes off * v and
+    then the residual, and modulus the moduli of the residual and of v.
     """
 
     def __init__(self, diag: np.ndarray, off: complex, weight: np.ndarray):
         self.diag, self.off, self.weight = diag, off, weight
+        self.identity = bool(np.all(weight == 1))
         self.norm_a = float(np.max(np.abs(diag))) + 2.0 * abs(off)
-        self.norm_b = float(np.max(np.abs(weight)))
+        self.norm_b = 1.0 if self.identity else float(np.max(np.abs(weight)))
         n = diag.size
         self.dl, self.du = np.empty(n - 1, complex), np.empty(n - 1, complex)
-        self.d, self.rhs, self.bv = (np.empty(n, complex) for _ in range(3))
+        self.d, self.rhs = np.empty(n, complex), np.empty(n, complex)
+        self.bv = self.rhs if self.identity else np.empty(n, complex)
         self.av, self.scratch = np.empty(n, complex), np.empty(n, complex)
         self.modulus = np.empty(n)
 
@@ -239,7 +246,7 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> complex:
 def inverse_iteration(system: TridiagonalSystem, shift: complex,
                       tol: float = 1e-9) -> EigenResult:
     """Shifted inverse iteration v <- solve(A - shift*B, B v) with
-    max-modulus normalization and the bilinear Rayleigh estimate
+    power-of-two normalization and the bilinear Rayleigh estimate
     (v^T A v)/(v^T B v), the stationary one for the complex symmetric pencil.
 
     Every step writes into one of the system's own buffers (named as in
@@ -247,33 +254,45 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     and du and factorized there in place by gttrf.  One sweep copies the
     right-hand side b into av: the B v the previous sweep formed (B times the
     all-ones start on the first), which gttrs then overwrites in rhs with the
-    solution w of (A - shift*B) w = b.  It writes the moduli of w into
-    modulus and rejects a w whose largest modulus is not finite (a nan or inf
-    anywhere makes it so); divides w in place by w_k, its entry of largest
-    modulus, giving v; and writes B v into bv.  Since (A - shift*B) v =
-    b / w_k, the estimate shift + (v^T b) / (w_k v^T B v) equals
-    v^T A v / v^T B v without a product A v, and its rounding scales with
-    |lambda - shift|, not with |A|.  Both dot products go through
+    solution w of (A - shift*B) w = b.  top, the largest magnitude of a real
+    or imaginary part of w, is read off w's float view with one max and one
+    min; a nan or inf anywhere in w shows in top, so a w whose top is not
+    finite is rejected, and so is one whose top is 0 or below the normal
+    range, which no power of two can scale back into it.  w is then scaled
+    in place by 2**-e, e the binary exponent of top, which is exact and
+    leaves v = 2**-e w with top in [1/2, 1); B v is written into bv.  Since
+    (A - shift*B) v = 2**-e b, the estimate shift + 2**-e (v^T b) / (v^T B v)
+    equals v^T A v / v^T B v without a product A v, and its rounding scales
+    with |lambda - shift|, not with |A|.  Both dot products go through
     blocked_dot.  rhs and bv then swap, so the B v just formed is the next
-    right-hand side.  A sweep allocates no array; the factorization
-    allocates only gttrf's second superdiagonal and pivots.
+    right-hand side.  When B is the identity (system.identity) no product by
+    B is formed: A - shift*B is diag - shift, the start is the all-ones
+    vector, and B v is v itself, so bv and rhs are one buffer.  A sweep
+    allocates no array; the factorization allocates only gttrf's second
+    superdiagonal and pivots.
 
     Converged means the relative change of the estimate dropped below
     tol * max(1, |lambda|) and the residual max|A v - lambda B v| / max|v|
     below the backward-error bound tol * (|A|_inf + |lambda| |B|_inf); the
-    raw residual is what EigenResult reports.  A v, formed in av with its
-    off-diagonal terms in scratch, and the residual, formed in scratch, are
-    computed only where the residual is read: on a sweep whose estimate has
-    settled, and on the last.  v^T B v can vanish for a complex v, so a zero
-    or non-finite estimate leaves its sweep unsettled (and the last sweep's
-    residual inf).  After MAX_SWEEPS sweeps without meeting both, converged
-    is False.  Raises ShiftCollisionError when A - shift*B factorizes as
-    singular or a solve is not finite, in which case the caller is expected
-    to nudge the shift by about 1e-6 * |shift|.
+    raw residual is what EigenResult reports.  It is formed from v itself,
+    never from the solve's right-hand side, so a solve that went wrong cannot
+    pass it, and only where it is read: on a sweep whose estimate has
+    settled, and on the last.  off * v goes once into scratch, and A v into
+    av as diag * v plus that product's two shifted slices, the right and then
+    the left neighbour; lambda B v and the difference then take scratch.
+    v^T B v can vanish for a complex v, so a zero or non-finite estimate
+    leaves its sweep unsettled (and the last sweep's residual inf).  After
+    MAX_SWEEPS sweeps without meeting both, converged is False.  Raises
+    ShiftCollisionError when A - shift*B factorizes as singular or a solve
+    cannot be normalized, in which case the caller is expected to nudge the
+    shift by about 1e-6 * |shift|.
     """
-    diag, off, weight = system.diag, system.off, system.weight
-    np.multiply(shift, weight, out=system.d)
-    np.subtract(diag, system.d, out=system.d)
+    diag, off, weight, identity = system.diag, system.off, system.weight, system.identity
+    if identity:
+        np.subtract(diag, shift, out=system.d)
+    else:
+        np.multiply(shift, weight, out=system.d)
+        np.subtract(diag, system.d, out=system.d)
     system.dl.fill(off)
     system.du.fill(off)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (system.d,))
@@ -285,31 +304,33 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
 
     rhs, bv, av, scratch = system.rhs, system.bv, system.av, system.scratch
     modulus = system.modulus
-    rhs.fill(1.0)
-    np.multiply(weight, rhs, out=rhs)
+    if identity:
+        rhs.fill(1.0)
+    else:
+        np.copyto(rhs, weight)
     lam = complex(math.nan)  # no sweep settles against the start
     residual = math.inf
     for iteration in range(1, MAX_SWEEPS + 1):
         np.copyto(av, rhs)
         v, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, rhs, overwrite_b=1)
-        np.abs(v, out=modulus)
-        k = np.argmax(modulus)
-        if info != 0 or not math.isfinite(modulus[k]):
+        parts = v.view(float)
+        top = max(parts.max(), -parts.min())
+        if info != 0 or not sys.float_info.min <= top < math.inf:
             raise ShiftCollisionError(f"triangular solve failed at shift {shift!r}")
-        w_k = complex(v[k])
-        np.divide(v, w_k, out=v)
-        np.multiply(weight, v, out=bv)
-        denominator = w_k * complex(blocked_dot(v, bv))
-        lam_new = (shift + complex(blocked_dot(v, av)) / denominator if denominator
-                   else complex(math.nan))
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        np.multiply(parts, scale, out=parts)
+        if not identity:  # else bv is rhs, which holds v
+            np.multiply(weight, v, out=bv)
+        denominator = complex(blocked_dot(v, bv))
+        lam_new = (shift + scale * complex(blocked_dot(v, av)) / denominator
+                   if denominator else complex(math.nan))
         finite = cmath.isfinite(lam_new)
         settled = finite and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
         if settled or (finite and iteration == MAX_SWEEPS):
+            np.multiply(off, v, out=scratch)
             np.multiply(diag, v, out=av)
-            np.multiply(off, v[1:], out=scratch[:-1])
-            np.add(av[:-1], scratch[:-1], out=av[:-1])
-            np.multiply(off, v[:-1], out=scratch[1:])
-            np.add(av[1:], scratch[1:], out=av[1:])
+            np.add(av[:-1], scratch[1:], out=av[:-1])
+            np.add(av[1:], scratch[:-1], out=av[1:])
             r = np.multiply(lam_new, bv, out=scratch)
             np.abs(np.subtract(av, r, out=r), out=modulus)
             largest = np.max(modulus)
@@ -356,7 +377,9 @@ def _problem(model: str, ell: float, winding: int, omega: float) -> _Problem:
         eps, points = tau_general(0, ell) ** (1.0 / odd), 601
         harmonic = (taylor_rectified(build_rectified(0, ell)).harmonic
                     * (odd * eps ** (odd - 1)) ** 4).real
-        evaluators = (partial(rectified_potential, rectified), partial(weight, rectified),
+        # At winding 0 the weight is 1: no evaluator, as for the oscillator.
+        evaluators = (partial(rectified_potential, rectified),
+                      partial(weight, rectified) if winding else None,
                       partial(energy_cubic, ell), partial(energy_cubic, ell),
                       partial(energy_cubic_correction, ell), gap(0, ell))
     else:

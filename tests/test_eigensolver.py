@@ -261,7 +261,8 @@ def test_inverse_iteration_passes_a_vanishing_bilinear_denominator():
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, -math.inf)])
 def test_non_finite_solve_raises_shift_collision(monkeypatch, bad):
     # One non-finite entry away from the largest one must still be caught:
-    # the finiteness check reads only the modulus at argmax |w|.
+    # a nan or inf anywhere in w shows in the largest real or imaginary part
+    # that the power-of-two normalization reads, its only finiteness check.
     disc = Discretization(6.0, 401, shift_eps=1.0)
     system = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
     original = eigensolver.get_lapack_funcs
@@ -284,6 +285,79 @@ def test_non_finite_solve_raises_shift_collision(monkeypatch, bad):
     monkeypatch.undo()
     fresh = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
     assert inverse_iteration(system, 0.9) == inverse_iteration(fresh, 0.9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("largest, normalized", [(1e250, True), (1e-250, True),
+                                                 (1e-320, False), (0.0, False)])
+def test_a_solve_out_of_scale_is_normalized_or_rejected(monkeypatch, largest, normalized):
+    # A solve scaled to a largest modulus far from 1 is brought back by a
+    # power of two, without a warning.  Its estimate is then off by that
+    # scale, so the run ends unconverged at the sweep cap.  A solve whose
+    # largest part is 0 or subnormal has no power of two to scale it into
+    # the normal range: it is a failed solve.
+    disc = Discretization(6.0, 401, shift_eps=1.0)
+    system = build_tridiagonal(lambda y: (y.real ** 2).astype(complex), disc)
+    original = eigensolver.get_lapack_funcs
+
+    def rescaled(names, *args, **kwargs):
+        gttrf, gttrs = original(names, *args, **kwargs)
+
+        def gttrs_rescaled(*solve_args, **solve_kwargs):
+            w, info = gttrs(*solve_args, **solve_kwargs)
+            w *= largest / np.max(np.abs(w))
+            return w, info
+
+        return gttrf, gttrs_rescaled
+
+    monkeypatch.setattr(eigensolver, "get_lapack_funcs", rescaled)
+    if normalized:
+        result = inverse_iteration(system, 0.9)
+        assert (result.converged, result.iterations) == (False, eigensolver.MAX_SWEEPS)
+    else:
+        with pytest.raises(ShiftCollisionError, match="triangular solve failed"):
+            inverse_iteration(system, 0.9)
+
+
+def _scaled(system: TridiagonalSystem, k: int) -> TridiagonalSystem:
+    """The pencil (2**k A, 2**k B)."""
+    scale = 2.0 ** k
+    return TridiagonalSystem(system.diag * scale, system.off * scale, system.weight * scale)
+
+
+@pytest.mark.parametrize("k", [-300, 1, 300])
+@pytest.mark.parametrize("winding", [0, 1])
+def test_a_pencil_scaled_by_a_power_of_two_gives_the_same_bits(k, winding):
+    # (2**k A, 2**k B) has the eigenvalues of (A, B).  Every rounding of the
+    # sweep scales with it, so eigenvalue and sweep count are the same bits
+    # and the residual exactly 2**k times as large.  At winding 0, B = I: its
+    # scaled pencil at k = 1 takes the general path, so this also holds the
+    # identity's shortcut to the sweep it shortens.
+    rectified = build_rectified(winding, 50.0)
+    grid = resolved_discretization("cubic_toboggan", 50.0, winding=winding)
+    system = build_tridiagonal(partial(rectified_potential, rectified), grid,
+                               partial(weight, rectified) if winding else None)
+    scaled = _scaled(system, k)
+    assert (system.identity, scaled.identity) == (winding == 0, False)
+    for n in range(3):
+        plain = inverse_iteration(system, energy_cubic(50.0, n))
+        other = inverse_iteration(scaled, energy_cubic(50.0, n))
+        assert plain.converged and other.converged
+        assert (other.eigenvalue, other.iterations) == (plain.eigenvalue, plain.iterations)
+        assert other.residual == math.ldexp(plain.residual, k)
+
+
+@pytest.mark.parametrize("ell", [10.0, 40.0, 1e4])
+def test_ho_levels_scale_exactly_with_omega(ell):
+    # omega = 4 halves the automatic grid, its line's eps included, so that
+    # l(l+1)/q**2 + omega**2 q**2 and 1/h**2 are 4 times their omega = 1
+    # values point by point: A is exactly 4 A_1 and B = I.  Each level then
+    # comes out exactly 4 times the omega = 1 level, after as many sweeps.
+    # This is a metamorphic test of the whole oscillator oracle.
+    unit = low_lying("ho", ell, 3, omega=1.0)
+    fast = low_lying("ho", ell, 3, omega=4.0)
+    assert [r.eigenvalue for r in fast] == [4.0 * r.eigenvalue for r in unit]
+    assert [r.iterations for r in fast] == [r.iterations for r in unit]
 
 
 @st.composite
