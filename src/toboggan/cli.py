@@ -15,8 +15,7 @@ command imports only the modules it runs: contour and figure fig1 load
 contours and util, spectrum, fig2 and fig3 add spectra (with expansion,
 rectify and potentials), and verify adds eigensolver.  Every record, the
 solver's too, is a namedtuple, so no command loads dataclasses, and none
-but verify loads inspect, which numpy imports.  verify writes its JSON
-report from a template, so it loads no json either.  Numeric fields carry 17
+but verify loads inspect, which numpy imports.  Numeric fields carry 17
 significant digits unless the environment variable TOBOGGAN_PRECISION
 overrides the count.  Exit status: 0 success, 1 usage or domain error, 2
 verification failure.
@@ -251,7 +250,7 @@ def _write_table(args: argparse.Namespace, header: tuple[str, ...], columns: tup
                     raise ValueError(f"column {name} is not finite in row {number} "
                                      f"of {len(column)}: {cell!r}")
     if args.format == "json":
-        import json  # only JSON tables and --config read it
+        import json  # only JSON tables, --config and verify read it
         meta = meta or {}
         document = json.dumps({**meta, key: []} if key else [], indent=2)
         cut = document.rindex("[]") + 1
@@ -409,18 +408,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     omitted series term (0 for the oscillator, whose levels are exact) and
     g_n the grid's truncation error on the grid solved on, both from the
     level's record.  Every target writes one report: problem, grid, one
-    record per level, the target's extras and the verdict, as
-    json.dumps(report, indent=2) would write it, from VERIFY_LEVEL and the
-    text around the records, as _write_table writes JSON."""
+    record per level, the target's extras and the verdict."""
+    import json
     from . import eigensolver, spectra  # only verify runs eigensolver, which loads numpy
 
     winding, ell, count = VERIFY_TARGETS[args.target][0], args.ell, args.levels
     if winding is None:
         model, params = "ho", {"omega": args.omega}
-        problem = {"target": args.target, "model": model, "ell": ell, **params}
+        problem = {"model": model, "ell": ell, **params}
     else:
         model, params = "cubic_toboggan", {"winding": winding}
-        problem = {"target": args.target, "model": model, **params, "ell": ell}
+        problem = {"model": model, **params, "ell": ell}
     disc = eigensolver.resolved_discretization(
         model, ell, **params, points=args.points, half_width=args.half_width, eps=args.eps)
     try:
@@ -428,87 +426,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (eigensolver.ShiftCollisionError, eigensolver.DegenerateEigenvaluesError) as exc:
         print(f"toboggan: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    records, passed = [], True
+    body = {"levels": []}
     for n, level in enumerate(levels):
         value = level.eigenvalue
         tolerance = SAFETY * abs(level.series + level.grid_error)
         diff = abs(value.real - level.closed_form)
-        ok = level.converged and diff <= tolerance and abs(value.imag) <= tolerance
-        passed = passed and ok
-        records.append(VERIFY_LEVEL % tuple(map(_json_scalar, (
-            n, level.seed, value.real, value.imag, level.residual, level.iterations,
-            level.converged, level.closed_form, diff, tolerance, ok))))
-    extras = {}
+        within = diff <= tolerance and abs(value.imag) <= tolerance
+        body["levels"].append({
+            "n": n, "seed": level.seed, "eigenvalue": {"re": value.real, "im": value.imag},
+            "residual": level.residual, "iterations": level.iterations,
+            "converged": level.converged, "closed_form": level.closed_form,
+            "abs_diff": diff, "tolerance": tolerance, "pass": level.converged and within})
+    passed = all(record["pass"] for record in body["levels"])
     if winding is None:  # exact levels, seeded at the stationary-point estimate
         x = 2.0 * ell + 1.0
-        extras["approx_minus_exact"] = identity = args.omega * (x - math.sqrt(x * x - 1.0))
-        extras["identity_residual"] = residual = max(
+        body["approx_minus_exact"] = identity = args.omega * (x - math.sqrt(x * x - 1.0))
+        body["identity_residual"] = residual = max(
             abs((level.seed - level.closed_form) - identity) for level in levels)
         # The residual is the rounding of levels of size omega*(2l+1).
         passed = passed and residual <= 16 * sys.float_info.epsilon * max(
             1.0, *(abs(e) for level in levels for e in (level.seed, level.closed_form)))
     elif winding:  # each level's distance to the paper's winding formula
-        extras["paper_closed_form"] = paper = [spectra.energy_toboggan(winding, ell, n)
-                                               for n in range(count)]
-        extras["paper_abs_diff"] = [abs(level.eigenvalue.real - e)
-                                    for level, e in zip(levels, paper)]
-    grid = {"half_width": disc.half_width, "points": disc.points,
-            "eps": disc.shift_eps, "step": disc.step}
-    listed = ",\n".join(records)
+        body["paper_closed_form"] = paper = [spectra.energy_toboggan(winding, ell, n)
+                                             for n in range(count)]
+        body["paper_abs_diff"] = [abs(level.eigenvalue.real - e)
+                                  for level, e in zip(levels, paper)]
     with _open_output(args.output) as out:
-        out.write(f'{{\n  "problem": {{\n{_json_members(problem, "    ")}\n  }},\n'
-                  f'  "grid": {{\n{_json_members(grid, "    ")}\n  }},\n'
-                  f'  "levels": [\n{listed}\n  ],\n'
-                  f'{_json_members({**extras, "passed": passed}, "  ")}\n}}\n')
+        print(json.dumps({"problem": {"target": args.target, **problem},
+                          "grid": {"half_width": disc.half_width, "points": disc.points,
+                                   "eps": disc.shift_eps, "step": disc.step},
+                          **body, "passed": passed}, indent=2), file=out)
     return EXIT_OK if passed else EXIT_VERIFY
-
-
-# One level's record in the verify report, as json.dumps(..., indent=2) sets
-# it in the "levels" list: each %s takes json's text of a field (_json_scalar).
-VERIFY_LEVEL = """    {
-      "n": %s,
-      "seed": %s,
-      "eigenvalue": {
-        "re": %s,
-        "im": %s
-      },
-      "residual": %s,
-      "iterations": %s,
-      "converged": %s,
-      "closed_form": %s,
-      "abs_diff": %s,
-      "tolerance": %s,
-      "pass": %s
-    }"""
-
-# json's text where it is not repr's: the booleans, and the floats JSON has
-# no literal for, which json writes as JavaScript does.
-JSON_SPELLINGS = {"True": "true", "False": "false",
-                  "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_scalar(value: bool | int | float) -> str:
-    """json.dumps's text of a bool, int or float."""
-    text = repr(value)
-    return JSON_SPELLINGS.get(text, text)
-
-
-def _json_members(fields: dict, indent: str) -> str:
-    """json.dumps(..., indent=2)'s lines for the members of an object
-    nested at indent, without its braces: values are bools, ints, floats,
-    lists of floats, a list's items one per line, or names, which are plain
-    ASCII and need no escapes."""
-    lines = []
-    for key, value in fields.items():
-        if type(value) is list:
-            items = f",\n{indent}  ".join(map(_json_scalar, value))
-            value = f"[\n{indent}  {items}\n{indent}]"
-        elif type(value) is str:
-            value = f'"{value}"'
-        else:
-            value = _json_scalar(value)
-        lines.append(f'{indent}"{key}": {value}')
-    return ",\n".join(lines)
 
 
 # Per verify target: its winding number (None for the oscillator), and the

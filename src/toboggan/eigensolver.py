@@ -181,21 +181,20 @@ class TridiagonalSystem:
     every call, so one system takes one solve at a time: dl, d and du take
     the diagonals of A - shift*B and then their LU factors; rhs and bv are
     the two vector buffers, rhs holding the right-hand side and then v, bv
-    taking B v, and they trade roles every sweep (for the identity bv is rhs
-    itself, since B v is v); av keeps a copy of the right-hand side and, on
-    the sweeps that read the residual, takes A v; scratch takes off * v and
-    then the residual, and modulus the moduli of the residual and of v.
+    taking B v, and they trade roles every sweep (bv goes unused for the
+    identity, since B v is v); av keeps a copy of the right-hand side and,
+    on the sweeps that read the residual, takes A v; scratch takes off * v
+    and then the residual, and modulus the moduli of the residual and of v.
     """
 
     def __init__(self, diag: np.ndarray, off: complex, weight: np.ndarray):
         self.diag, self.off, self.weight = diag, off, weight
         self.identity = bool(np.all(weight == 1))
         self.norm_a = float(np.max(np.abs(diag))) + 2.0 * abs(off)
-        self.norm_b = 1.0 if self.identity else float(np.max(np.abs(weight)))
+        self.norm_b = float(np.max(np.abs(weight)))
         n = diag.size
         self.dl, self.du = np.empty(n - 1, complex), np.empty(n - 1, complex)
-        self.d, self.rhs = np.empty(n, complex), np.empty(n, complex)
-        self.bv = self.rhs if self.identity else np.empty(n, complex)
+        self.d, self.rhs, self.bv = (np.empty(n, complex) for _ in range(3))
         self.av, self.scratch = np.empty(n, complex), np.empty(n, complex)
         self.modulus = np.empty(n)
 
@@ -265,11 +264,10 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     equals v^T A v / v^T B v without a product A v, and its rounding scales
     with |lambda - shift|, not with |A|.  Both dot products go through
     blocked_dot.  rhs and bv then swap, so the B v just formed is the next
-    right-hand side.  When B is the identity (system.identity) no product by
-    B is formed: A - shift*B is diag - shift, the start is the all-ones
-    vector, and B v is v itself, so bv and rhs are one buffer.  A sweep
-    allocates no array; the factorization allocates only gttrf's second
-    superdiagonal and pivots.
+    right-hand side.  When B is the identity (system.identity) a sweep forms
+    no product by B: B v is v itself, and the sweep reads v where it would
+    read bv.  A sweep allocates no array; the factorization allocates only
+    gttrf's second superdiagonal and pivots.
 
     Converged means the relative change of the estimate dropped below
     tol * max(1, |lambda|) and the residual max|A v - lambda B v| / max|v|
@@ -287,12 +285,9 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
     cannot be normalized, in which case the caller is expected to nudge the
     shift by about 1e-6 * |shift|.
     """
-    diag, off, weight, identity = system.diag, system.off, system.weight, system.identity
-    if identity:
-        np.subtract(diag, shift, out=system.d)
-    else:
-        np.multiply(shift, weight, out=system.d)
-        np.subtract(diag, system.d, out=system.d)
+    diag, off, weight = system.diag, system.off, system.weight
+    np.multiply(shift, weight, out=system.d)
+    np.subtract(diag, system.d, out=system.d)
     system.dl.fill(off)
     system.du.fill(off)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (system.d,))
@@ -304,10 +299,7 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
 
     rhs, bv, av, scratch = system.rhs, system.bv, system.av, system.scratch
     modulus = system.modulus
-    if identity:
-        rhs.fill(1.0)
-    else:
-        np.copyto(rhs, weight)
+    np.copyto(rhs, weight)
     lam = complex(math.nan)  # no sweep settles against the start
     residual = math.inf
     for iteration in range(1, MAX_SWEEPS + 1):
@@ -319,7 +311,9 @@ def inverse_iteration(system: TridiagonalSystem, shift: complex,
             raise ShiftCollisionError(f"triangular solve failed at shift {shift!r}")
         scale = math.ldexp(1.0, -math.frexp(top)[1])
         np.multiply(parts, scale, out=parts)
-        if not identity:  # else bv is rhs, which holds v
+        if system.identity:  # B v is v
+            bv = v
+        else:
             np.multiply(weight, v, out=bv)
         denominator = complex(blocked_dot(v, bv))
         lam_new = (shift + scale * complex(blocked_dot(v, av)) / denominator

@@ -476,32 +476,6 @@ def test_verify_targets_share_one_level_record(capsys):
     assert report["passed"] is True
 
 
-@pytest.mark.parametrize("argv", [("ho",), ("cubic0",), ("toboggan1",),
-                                  ("ho", "--levels", "4", "--omega", "0.5"),
-                                  ("toboggan1", "--ell", "1.15")],
-                         ids=["ho", "cubic0", "toboggan1", "ho-4-levels", "not-converged"])
-def test_verify_report_is_jsons_own_text(capsys, argv):
-    # The report is written from a template, not by json, and must be the
-    # very text json.dumps(..., indent=2) gives, newline included.
-    code, out, _ = run(capsys, "verify", *argv)
-    assert code == (2 if "1.15" in argv else 0)
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
-
-def test_verify_report_spells_non_finite_values_as_json_does(capsys, monkeypatch):
-    # A level whose estimate never became finite reports a nan eigenvalue and
-    # an inf residual; json writes those as NaN and Infinity.
-    monkeypatch.setattr(eigensolver, "inverse_iteration", lambda system, shift, tol:
-                        eigensolver.EigenResult(complex("nan"), math.inf, 200, False))
-    code, out, _ = run(capsys, "verify", "toboggan1", "--levels", "1")
-    assert code == 2
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    level = json.loads(out)["levels"][0]
-    assert math.isnan(level["eigenvalue"]["re"]) and level["residual"] == math.inf
-    assert '"residual": Infinity,' in out and '"re": NaN,' in out
-    assert math.isnan(json.loads(out)["paper_abs_diff"][0])
-
-
 def _child_env(threads: str | None) -> dict:
     """This environment with the source tree on the path and
     OPENBLAS_NUM_THREADS set to threads, or removed for None."""
@@ -1413,15 +1387,14 @@ def test_a_closed_form_command_loads_only_the_modules_it_runs(argv, own):
 
 @pytest.mark.parametrize("target", ["ho", "cubic0", "toboggan1"])
 def test_verify_loads_no_dataclasses(target):
-    # Every record, the solver's too, is a namedtuple, and the report is
-    # written from a template, so neither dataclasses nor json is loaded.
-    # numpy itself loads inspect, so that module is not checked here.
+    # Every record, the solver's too, is a namedtuple.  numpy itself loads
+    # inspect, so that module is not checked here.
     src = str(Path(toboggan.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", MODULES_PROBE, "verify", target],
                           env={**os.environ, "PYTHONPATH": src},
                           check=True, capture_output=True, text=True)
     code, loaded = ast.literal_eval(done.stdout)
     assert code == 0
-    assert not {"dataclasses", "json"} & {name.split(".")[0] for name in loaded}
+    assert "dataclasses" not in {name.split(".")[0] for name in loaded}
     assert ({name for name in loaded if name.split(".")[0] == "toboggan"}
             == CLOSED_FORM_MODULES | {"toboggan.eigensolver"})
