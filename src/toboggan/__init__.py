@@ -26,7 +26,7 @@ _EXPORTS = {
     "rectify": ("RectifiedProblem", "angular_map", "build_rectified",
                 "rectified_potential", "weight"),
     "spectra": (
-        "SpectrumEntry", "SpectrumTable", "density_parameter", "energy_cubic",
+        "SpectrumTable", "density_parameter", "energy_cubic",
         "energy_error_scale", "energy_ho_approx", "energy_ho_exact",
         "energy_toboggan", "gap", "gap_constant", "rescaled_level",
         "rescaled_level_limit"),

@@ -335,11 +335,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.ell is None:
         raise ValueError("--ell is required")
     table = SpectrumTable.closed_form(args.N, args.ell, args.levels)
-    entries = table.entries
-    columns = ([e.winding_number for e in entries], [e.ell for e in entries],
-               [table.rho] * len(entries), [e.n for e in entries],
-               [e.energy for e in entries], [e.rescaled for e in entries],
-               [e.gap for e in entries], ["closed_form"] * len(entries))
+    levels = len(table.energy)
+    columns = ([table.winding_number] * levels, [table.ell] * levels, [table.rho] * levels,
+               list(range(levels)), table.energy, table.rescaled, [table.gap] * levels,
+               ["closed_form"] * levels)
     _write_table(args, ("N", "ell", "rho", "n", "E", "F", "G", "source"), columns,
                  {"rho": table.rho}, "entries")
     return EXIT_OK

@@ -146,15 +146,11 @@ def energy_ho_approx(ell: float, omega: float, n: int) -> float:
     return -omega * math.sqrt(x * x - 1.0) + 2.0 * omega * (2 * int(n) + 1)
 
 
-class SpectrumEntry(namedtuple("SpectrumEntry", "winding_number ell n energy rescaled gap")):
-    """Level n of the N-winding problem at l: its E, F and G."""
-
-    __slots__ = ()
-
-
-class SpectrumTable(namedtuple("SpectrumTable", "entries rho")):
-    """Per-level energies E, rescaled levels F and gaps G at a fixed l: a
-    list of SpectrumEntry and the rho they share."""
+class SpectrumTable(namedtuple("SpectrumTable", "winding_number ell rho gap energy rescaled")):
+    """The closed-form levels of the N-winding problem at one l, as the
+    columns spectrum writes: N, l, rho and the gap G, which every level
+    shares, and the lists energy (E) and rescaled (F = rho**(3/5) E), whose
+    item n is level n."""
 
     __slots__ = ()
 
@@ -166,10 +162,8 @@ class SpectrumTable(namedtuple("SpectrumTable", "entries rho")):
         spacing = gap(winding_number, ell)
         rho = density_parameter(ell)
         scale = rho ** 0.6  # scale * E is rescaled_level, bit for bit
-        winding_number, ell = int(winding_number), float(ell)
-        entries = [None] * levels  # one allocation: too many levels fail at once
+        energy = [None] * levels  # one allocation: too many levels fail at once
         for n in range(levels):
-            energy = ladder.level(n)
-            entries[n] = SpectrumEntry(winding_number, ell, n, energy, scale * energy,
-                                       spacing)
-        return cls(entries, rho)
+            energy[n] = ladder.level(n)
+        return cls(int(winding_number), float(ell), rho, spacing, energy,
+                   [scale * e for e in energy])

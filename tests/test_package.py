@@ -33,7 +33,7 @@ EXPORTED = {
                    "v_eff_ho"],
     "rectify": ["rectify", "RectifiedProblem", "angular_map", "build_rectified",
                 "rectified_potential", "weight"],
-    "spectra": ["spectra", "SpectrumEntry", "SpectrumTable", "density_parameter",
+    "spectra": ["spectra", "SpectrumTable", "density_parameter",
                 "energy_cubic", "energy_error_scale", "energy_ho_approx", "energy_ho_exact",
                 "energy_toboggan", "gap", "gap_constant", "rescaled_level",
                 "rescaled_level_limit"],
@@ -133,7 +133,7 @@ def _records():
     table = SpectrumTable.closed_form(1, 4.0, 2)
     result = EigenResult(2.0 + 0j, 0.0, 2, True)
     return [WindingContour(1, 1.0), HOSpec(2.0), problem, taylor_rectified(problem),
-            table, table.entries[0], Discretization(1.0, 3, 0.1), result,
+            table, Discretization(1.0, 3, 0.1), result,
             Level(*result, seed=1.9, closed_form=2.0, series=0.0, grid_error=0.0)]
 
 

@@ -236,12 +236,13 @@ def test_energy_cubic_correction_hand_values():
 
 def test_spectrum_table_structure():
     table = SpectrumTable.closed_form(1, 4.0, 4)
+    assert table._fields == ("winding_number", "ell", "rho", "gap", "energy", "rescaled")
+    assert (table.winding_number, table.ell) == (1, 4.0)
+    assert type(table.winding_number) is int and type(table.ell) is float
     assert table.rho == pytest.approx(density_parameter(4.0), rel=1e-15)
-    assert [e.n for e in table.entries] == [0, 1, 2, 3]
-    energies = [e.energy for e in table.entries]
+    assert len(table.energy) == len(table.rescaled) == 4
+    energies = table.energy
     assert all(a < b for a, b in zip(energies, energies[1:]))
-    assert sorted(table.entries, key=lambda e: (e.winding_number, e.ell, e.n)) \
-        == table.entries
     with pytest.raises(ValueError):
         SpectrumTable.closed_form(0, 4.0, 0)
 
@@ -277,7 +278,8 @@ def test_ladder_is_energy_toboggan_and_rescaled_level_bit_for_bit(winding, ell, 
 def test_spectrum_table_rows_are_the_ladder():
     table = SpectrumTable.closed_form(2, 37.0, 60)
     scale = density_parameter(37.0) ** 0.6
-    for n, entry in enumerate(table.entries):
-        assert entry.energy == energy_toboggan(2, 37.0, n)
-        assert entry.rescaled == scale * entry.energy == rescaled_level(2, 37.0, n)
-        assert entry.gap == gap(2, 37.0)
+    assert len(table.energy) == len(table.rescaled) == 60
+    for n, (energy, rescaled) in enumerate(zip(table.energy, table.rescaled)):
+        assert energy == energy_toboggan(2, 37.0, n)
+        assert rescaled == scale * energy == rescaled_level(2, 37.0, n)
+    assert table.gap == gap(2, 37.0)

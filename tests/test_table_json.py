@@ -74,8 +74,9 @@ def test_spectrum_table_across_blocks_is_its_row_by_row_text(capsys, monkeypatch
     monkeypatch.setenv("TOBOGGAN_PRECISION", "7")
     table = SpectrumTable.closed_form(1, 9.0, levels)
     header = ("N", "ell", "rho", "n", "E", "F", "G", "source")
-    rows = [(e.winding_number, e.ell, table.rho, e.n, e.energy, e.rescaled, e.gap,
-             "closed_form") for e in table.entries]
+    assert len(table.energy) == len(table.rescaled) == levels
+    rows = [(table.winding_number, table.ell, table.rho, n, table.energy[n],
+             table.rescaled[n], table.gap, "closed_form") for n in range(levels)]
     assert cli.main(["spectrum", "--N", "1", "--ell", "9", "--levels", str(levels),
                      "--format", fmt]) == 0
     out, err = capsys.readouterr()
