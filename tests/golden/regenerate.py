@@ -60,29 +60,19 @@ CASES = {
 }
 
 
-def run_case(argv: list[str]) -> tuple[int, str, str]:
-    """main(argv)'s exit code, stdout and stderr, with TOBOGGAN_PRECISION unset."""
-    from toboggan.cli import main
-
-    precision = os.environ.pop("TOBOGGAN_PRECISION", None)
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        if precision is not None:
-            os.environ["TOBOGGAN_PRECISION"] = precision
-    return code, out.getvalue(), err.getvalue()
-
-
 def main() -> None:
+    from toboggan.cli import main as toboggan_main
+
+    os.environ.pop("TOBOGGAN_PRECISION", None)
     for stale in HERE.glob("*.out"):
         stale.unlink()
     index = []
     for name, argv in CASES.items():
-        code, out, err = run_case(argv)
-        (HERE / f"{name}.out").write_text(out, encoding="utf-8", newline="")
-        index.append({"name": name, "argv": argv, "exit": code, "stderr": err})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = toboggan_main(argv)
+        (HERE / f"{name}.out").write_text(out.getvalue(), encoding="utf-8", newline="")
+        index.append({"name": name, "argv": argv, "exit": code, "stderr": err.getvalue()})
     with open(HERE / "cases.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)
         fh.write("\n")

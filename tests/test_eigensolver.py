@@ -360,6 +360,28 @@ def test_ho_levels_scale_exactly_with_omega(ell):
     assert [r.iterations for r in fast] == [r.iterations for r in unit]
 
 
+@pytest.mark.parametrize("model, ell, winding, omega", [
+    *(("cubic_toboggan", ell, winding, 1.0) for winding in (0, 1) for ell in (10.0, 50.0, 1e4)),
+    ("ho", 10.0, 0, 1.0), ("ho", 10.0, 0, 0.25), ("ho", 1e4, 0, 0.25)])
+def test_levels_do_not_move_with_the_lines_shift(model, ell, winding, omega):
+    # The levels of a well-posed contour problem do not depend on the
+    # contour (Cauchy), so moving the line's eps by sigma = half_width / 15,
+    # the oscillator length at the well, either way must leave each level
+    # within 1e-3 of its error budget |series + grid_error| (measured: at
+    # most 6.5e-7 of it), and every solve must converge.  A metamorphic test
+    # that any oracle on this line must keep.
+    params = {"omega": omega} if model == "ho" else {"winding": winding}
+    grid = resolved_discretization(model, ell, **params)
+    unmoved = low_lying(model, ell, 3, grid=grid, **params)
+    sigma = grid.half_width / 15
+    for eps in (grid.shift_eps - sigma, grid.shift_eps + sigma):
+        moved = low_lying(model, ell, 3, grid=grid._replace(shift_eps=eps), **params)
+        for before, after in zip(unmoved, moved, strict=True):
+            assert before.converged and after.converged
+            assert abs(after.eigenvalue - before.eigenvalue) \
+                <= 1e-3 * abs(before.series + before.grid_error)
+
+
 @st.composite
 def seeded_pencils(draw):
     """(system, shift, eigenvalue): a random complex tridiagonal pencil with

@@ -241,8 +241,7 @@ def test_spectrum_table_structure():
     assert type(table.winding_number) is int and type(table.ell) is float
     assert table.rho == pytest.approx(density_parameter(4.0), rel=1e-15)
     assert len(table.energy) == len(table.rescaled) == 4
-    energies = table.energy
-    assert all(a < b for a, b in zip(energies, energies[1:]))
+    assert all(a < b for a, b in zip(table.energy, table.energy[1:]))
     with pytest.raises(ValueError):
         SpectrumTable.closed_form(0, 4.0, 0)
 
