@@ -1,9 +1,12 @@
 """Rewrite the golden corpus of CLI output in this directory.
 
-Each case is one argv run through toboggan.cli.main() in process, with
-TOBOGGAN_PRECISION unset.  cases.json lists every case's name, argv, exit
-code and stderr; <name>.out holds its stdout.  tests/test_golden.py compares
-the program against these files byte for byte, so a change that moves
+Each case is one argv run through toboggan.cli.main() in process, from the
+repository root (a --config path is relative to it), with TOBOGGAN_PRECISION
+unset and COLUMNS=80: argparse wraps its usage lines at the width that
+COLUMNS, or else the terminal, gives.  cases.json lists every case's name,
+argv, exit code and stderr; <name>.out holds its stdout.  tests/test_golden.py
+compares the program against these files byte for byte, in process and as a
+fresh `python -W error -m toboggan.cli` per case, so a change that moves
 output on purpose reruns this script and shows the moved bytes in `git diff`:
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -21,6 +24,8 @@ import os
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+HUGE = "100000000000000000000000"  # more items than any table can hold
 
 SMALL = {
     "contour": ["contour", "--count", "5"],
@@ -48,8 +53,7 @@ CASES = {
     "error-spectrum-negative-ell": ["spectrum", "--ell", "-1"],
     "error-spectrum-no-ell": ["spectrum"],
     "error-spectrum-no-levels": ["spectrum", "--ell", "4", "--levels", "0"],
-    "error-spectrum-huge-levels": ["spectrum", "--ell", "4", "--levels",
-                                   "100000000000000000000000"],
+    "error-spectrum-huge-levels": ["spectrum", "--ell", "4", "--levels", HUGE],
     "error-contour-negative-eps": ["contour", "--eps", "-1"],
     "error-contour-negative-n": ["contour", "--N", "-1"],
     "error-contour-count-not-int": ["contour", "--count", "x"],
@@ -57,6 +61,28 @@ CASES = {
     "error-fig2-no-rho-points": ["figure", "fig2", "--rho-points", "0"],
     "error-fig3-zero-ell-min": ["figure", "fig3", "--ell-min", "0"],
     "error-verify-ho-no-levels": ["verify", "ho", "--levels", "0"],
+    # l = 1e12: tol cannot tell the closed-form levels apart, for one level
+    # as for two.
+    "error-verify-cubic0-huge-ell": ["verify", "cubic0", "--ell", "1e12"],
+    "error-verify-cubic0-huge-ell-one-level": ["verify", "cubic0", "--ell", "1e12",
+                                               "--levels", "1"],
+    # l = 0.6: the n = 1 seed is too near the other family's level to reach
+    # its own in 200 sweeps.
+    "error-verify-ho-small-ell": ["verify", "ho", "--ell", "0.6", "--levels", "2"],
+    # A size above sys.maxsize // 16 fails before anything is built, with the
+    # line that names the command's size option.
+    "error-contour-huge-count": ["contour", "--count", HUGE],
+    "error-fig1-huge-count": ["figure", "fig1", "--count", HUGE],
+    "error-fig2-huge-rho-points": ["figure", "fig2", "--rho-points", HUGE],
+    "error-fig3-huge-ell-points": ["figure", "fig3", "--ell-points", HUGE],
+    "error-verify-ho-huge-points": ["verify", "ho", "--points", HUGE],
+    # Only ho has a frequency.
+    "error-verify-cubic0-omega": ["verify", "cubic0", "--omega", "-5"],
+    "error-verify-toboggan1-omega-nan": ["verify", "toboggan1", "--omega", "nan"],
+    "error-verify-ho-ell-not-float": ["verify", "ho", "--ell", "x"],
+    # --config's values go in as flags after the subcommand.
+    "config-spectrum-json": ["--config", "tests/golden/config.json", "spectrum",
+                             "--ell", "4"],
 }
 
 
@@ -64,6 +90,8 @@ def main() -> None:
     from toboggan.cli import main as toboggan_main
 
     os.environ.pop("TOBOGGAN_PRECISION", None)
+    os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
     for stale in HERE.glob("*.out"):
         stale.unlink()
     index = []
