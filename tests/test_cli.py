@@ -487,15 +487,18 @@ def _child_env(threads: str | None) -> dict:
     return env
 
 
-def test_verify_output_does_not_depend_on_blas_threads():
+@pytest.mark.parametrize("argv", [
+    ("verify", "ho", "--ell", "40", "--omega", "0.5", "--levels", "4", "--points", "24001"),
+    ("verify", "toboggan1", "--ell", "50", "--points", "24001"),
+], ids=["ho", "toboggan1"])
+def test_verify_output_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits a dot product of more than 10,000 terms over its
-    # worker threads, which changes its rounding; this grid is past that.
+    # worker threads, which changes its rounding; these grids are past that.
+    # toboggan1's B != I puts the solver's B v buffer in play as well.
     # Unset is the entry point's own default, one thread.
-    argv = ["verify", "ho", "--ell", "40", "--omega", "0.5", "--levels", "4",
-            "--points", "24001"]
     outputs = []
     for threads in (None, "1", "2"):
-        done = subprocess.run([sys.executable, "-m", "toboggan.cli", *argv],
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "toboggan.cli", *argv],
                               env=_child_env(threads), check=True, capture_output=True)
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
@@ -624,10 +627,13 @@ def test_cyclic_garbage_does_not_grow_with_the_size(capsys, words, flag, size):
 
 @pytest.mark.parametrize("argv", [words for words, _, _ in GROWN], ids=" ".join)
 def test_a_cold_command_writes_what_main_writes(capsys, tmp_path, argv):
-    # The cold process runs without the collector and main() in process with
-    # it: the --output file, stdout and exit code must not differ.
+    # The cold process runs run(), the console script's function, without
+    # the collector and with warnings as errors, and main() in process runs
+    # with the collector: the --output file, stdout and exit code must not
+    # differ.
     cold, warm = tmp_path / "cold", tmp_path / "warm"
-    done = subprocess.run([sys.executable, "-m", "toboggan.cli", *argv, "--output", str(cold)],
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "toboggan.cli", *argv,
+                           "--output", str(cold)],
                           env=_child_env(None), capture_output=True)
     code, out, _ = run(capsys, *argv, "--output", str(warm))
     assert (done.returncode, done.stdout.decode(), cold.read_bytes()) == (
@@ -780,6 +786,17 @@ def test_output_file_writing(capsys, tmp_path, argv, old):
     code_file, out, _ = run(capsys, *argv, "--output", str(target))
     assert (code_file, out) == (code, "")
     assert target.read_text() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_to_dev_stdout_through_a_pipe_is_the_plain_bytes():
+    # Only a regular file is cut after the write; a pipe, where ftruncate
+    # fails, must carry the plain run's bytes.
+    argv = [sys.executable, "-W", "error", "-m", "toboggan.cli", "verify", "ho"]
+    plain = subprocess.run(argv, env=_child_env(None), check=True, capture_output=True)
+    piped = subprocess.run([*argv, "--output", "/dev/stdout"], env=_child_env(None),
+                           check=True, capture_output=True)
+    assert (piped.stdout, piped.stderr) == (plain.stdout, b"")
 
 
 def test_output_file_keeps_the_prefix_written_before_a_raise(tmp_path):
@@ -1339,7 +1356,9 @@ def test_closed_form_commands_never_load_scipy():
              (["figure", "fig3", "--ell-points", "2"], nothing),
              (["contour", "--count", "3"], nothing),
              (["figure", "fig1", "--count", "3"], nothing),
-             (["verify", "ho"], lapack)]
+             (["verify", "ho"], lapack),
+             (["verify", "cubic0"], lapack),
+             (["verify", "toboggan1"], lapack)]
     for argv, after in cases:
         done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
                               check=True, capture_output=True, text=True)
