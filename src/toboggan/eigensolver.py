@@ -16,11 +16,16 @@ forms no product by it.
 
 The tridiagonal LU factorization (LAPACK gttrf/gttrs) is computed once per
 shift and reused across iterations; B is diagonal throughout, so every sweep
-costs O(K).  Each TridiagonalSystem allocates its solve buffers, grid-sized
-arrays, when it is built, and every level and every nudged shift reuses
-them: gttrf factorizes the system's three diagonal buffers in place, gttrs
-solves in place over its right-hand side, and every other step of a sweep
-writes into one of its buffers, so a sweep allocates no array.  The dot
+costs O(K).  Each TridiagonalSystem takes its solve buffers, grid-sized
+arrays, as disjoint rows of one allocation when it is built, and every level
+and every nudged shift reuses them: gttrf factorizes the system's three
+diagonal buffers in place, gttrs solves in place over its right-hand side,
+and every other step of a sweep writes into one of its buffers, so a sweep
+allocates no array.  One allocation, not one per buffer: glibc keeps freed
+heap memory only up to about twice the largest block it has mapped and
+freed, so separate buffers would go back to the kernel with each system
+and the next system would fault their pages in again, while one block of
+that size stays with the process.  The dot
 products run over blocks of at most DOT_BLOCK terms, each below the length
 at which OpenBLAS splits a dot product over worker threads, so a sweep
 starts no BLAS thread and its rounding does not depend on the CPU count.
@@ -184,19 +189,27 @@ class TridiagonalSystem:
     taking B v, and they trade roles every sweep (bv goes unused for the
     identity, since B v is v); av keeps a copy of the right-hand side and,
     on the sweeps that read the residual, takes A v; scratch takes off * v
-    and then the residual, and modulus the moduli of the residual and of v.
+    and then the residual, and modulus |diag| and |weight| for the norms and
+    then the moduli of the residual and of v.
+
+    The eight buffers are disjoint rows of one np.empty block, seven complex
+    rows and a float one for modulus, so that a system takes one allocation
+    (see the module docstring).  No two of them overlap: modulus in
+    particular is a row of its own, not a float view of another.  Nothing
+    else holds the block, so it goes when the system does.
     """
 
     def __init__(self, diag: np.ndarray, off: complex, weight: np.ndarray):
         self.diag, self.off, self.weight = diag, off, weight
-        self.identity = bool(np.all(weight == 1))
-        self.norm_a = float(np.max(np.abs(diag))) + 2.0 * abs(off)
-        self.norm_b = float(np.max(np.abs(weight)))
         n = diag.size
-        self.dl, self.du = np.empty(n - 1, complex), np.empty(n - 1, complex)
-        self.d, self.rhs, self.bv = (np.empty(n, complex) for _ in range(3))
-        self.av, self.scratch = np.empty(n, complex), np.empty(n, complex)
-        self.modulus = np.empty(n)
+        block = np.empty(15 * n)
+        rows = block[:14 * n].view(complex).reshape(7, n)
+        self.dl, self.du = rows[0, :n - 1], rows[1, :n - 1]
+        self.d, self.rhs, self.bv, self.av, self.scratch = rows[2:]
+        self.modulus = block[14 * n:]
+        self.identity = bool(np.all(weight == 1))
+        self.norm_a = float(np.max(np.abs(diag, out=self.modulus))) + 2.0 * abs(off)
+        self.norm_b = float(np.max(np.abs(weight, out=self.modulus)))
 
 
 def _evaluate(fn: Callable, y: np.ndarray, what: str, disc: Discretization) -> np.ndarray:

@@ -505,6 +505,23 @@ def test_verify_output_does_not_depend_on_blas_threads(argv):
     assert json.loads(outputs[0])["passed"] is True
 
 
+def test_verify_reports_do_not_depend_on_earlier_solves(capsys):
+    # A system's buffers come from memory an earlier solve may have freed
+    # with its numbers still in it, so every argv must give the same bytes
+    # whichever solves ran before it in the process.
+    argvs = [("verify", "ho", "--ell", "40", "--omega", "0.5", "--levels", "4",
+              "--points", "24001"),
+             ("verify", "cubic0", "--levels", "4", "--points", "1201"),
+             ("verify", "toboggan1")]
+    outputs = {}
+    for order in (argvs, argvs[::-1]):
+        for argv in order:
+            outputs.setdefault(argv, []).append(run(capsys, *argv))
+    for argv, (first, second) in outputs.items():
+        assert first[0] == 0, argv
+        assert first == second, argv
+
+
 def test_a_closed_pipe_ends_the_run_quietly():
     # As in `toboggan contour --count 200000 | head -1`: the reader leaves
     # after one line, with most of the table still to come, and the writer

@@ -168,6 +168,35 @@ def test_workspace_carries_no_state_between_calls():
     assert shuffled == in_order
 
 
+@pytest.mark.parametrize("winding", [0, 1], ids=["B=I", "B!=I"])
+def test_work_arrays_are_disjoint_rows_of_one_allocation(winding):
+    # One allocation, so that its pages stay with the process from one
+    # system to the next; disjoint, so that no buffer's write moves another
+    # (a float view of scratch taken as modulus moved residuals' last digit).
+    rectified = build_rectified(winding, 50.0)
+    grid = resolved_discretization("cubic_toboggan", 50.0, winding=winding)
+    system = build_tridiagonal(partial(rectified_potential, rectified), grid,
+                               partial(weight, rectified) if winding else None)
+    n = grid.points
+    assert n == 601 and system.identity is (winding == 0)
+    names = ("dl", "du", "d", "rhs", "bv", "av", "scratch", "modulus")
+    arrays = {name: getattr(system, name) for name in names}
+
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    assert len({id(owner(a)) for a in arrays.values()}) == 1
+    for name, a in arrays.items():
+        assert a.flags.c_contiguous, name
+        assert a.dtype == (float if name == "modulus" else complex), name
+        assert a.shape == ((n - 1,) if name in ("dl", "du") else (n,)), name
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            assert not np.shares_memory(arrays[first], arrays[second]), (first, second)
+
+
 @pytest.mark.parametrize("warm", [True, False], ids=["after-warm-up", "fresh-system"])
 def test_a_level_allocates_no_grid_sized_array(warm):
     # A system allocates its buffers when it is built, so a level, the first
