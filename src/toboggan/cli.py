@@ -5,20 +5,20 @@ form within 1.25 times the oracle's predicted error: the closed form's first
 omitted series term (none for the exact oscillator levels of ho) plus the
 3-point scheme's leading truncation on the grid solved on.
 
-All commands are deterministic: identical inputs give byte-identical
-output, whatever the CPU count or the number of BLAS threads.  contour,
-spectrum and every figure compute with CPython floats, complex numbers and
-libm alone and never import numpy, so their output does not depend on the
-CPU's SIMD features either; only verify loads numpy, whose SIMD paths can
-still move a last digit of its values from one CPU to another.  Each
-command imports only the modules it runs: contour and figure fig1 load
-contours and util, spectrum, fig2 and fig3 add spectra (with expansion,
-rectify and potentials), and verify adds eigensolver.  Every record, the
-solver's too, is a namedtuple, so no command loads dataclasses, and none
-but verify loads inspect, which numpy imports.  Numeric fields carry 17
-significant digits unless the environment variable TOBOGGAN_PRECISION
-overrides the count.  Exit status: 0 success, 1 usage or domain error, 2
-verification failure.
+All commands are deterministic: identical inputs give byte-identical output,
+whatever the CPU count or the number of BLAS threads.  contour, spectrum and
+every figure compute with CPython floats, complex numbers and libm alone and
+never import numpy, so their output does not depend on the CPU's SIMD
+features either; only verify loads numpy, whose SIMD paths can still move a
+last digit of its values from one CPU to another.  Each command imports only
+the modules it runs: import toboggan.cli loads util alone; contour and
+figure fig1 add contours; spectrum, fig2 and fig3 add spectra, expansion,
+rectify and potentials, never contours; verify adds eigensolver too.  Every
+record, the solver's too, is a namedtuple, so no command loads dataclasses,
+and none but verify loads inspect, which numpy imports.  CSV numbers carry
+17 significant digits unless TOBOGGAN_PRECISION sets the count; a JSON
+number is the shortest text that reads back as the same double.  Exit
+status: 0 success, 1 usage or domain error, 2 verification failure.
 
 --config FILE's values go in as --option=value flags right after the
 command's words, so argparse checks them as typed and flags given later win.
@@ -66,7 +66,6 @@ import sys
 from contextlib import contextmanager
 from itertools import chain, islice
 
-from .contours import WindingContour, sample_path
 from .util import linspace
 
 EXIT_OK = 0
@@ -318,6 +317,7 @@ def _with_config(parser: _Parser, argv: list[str],
 def _contour_columns(winding: int, args: argparse.Namespace) -> tuple[list, list, list]:
     """The s, re and im columns of one contour's samples, as the
     --eps/--s-*/--count ask."""
+    from .contours import WindingContour, sample_path  # only contour and fig1 sample
     contour = WindingContour(winding, args.eps)
     points = sample_path(contour, args.s_min, args.s_max, args.count)
     return points.s, [q.real for q in points], [q.imag for q in points]

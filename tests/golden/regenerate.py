@@ -69,6 +69,8 @@ CASES = {
     # l = 0.6: the n = 1 seed is too near the other family's level to reach
     # its own in 200 sweeps.
     "error-verify-ho-small-ell": ["verify", "ho", "--ell", "0.6", "--levels", "2"],
+    # l = 0: no centrifugal term, and tau_ho needs l(l+1) > 0 to place the well.
+    "error-verify-ho-zero-ell": ["verify", "ho", "--ell", "0"],
     # A size above sys.maxsize // 16 fails before anything is built, with the
     # line that names the command's size option.
     "error-contour-huge-count": ["contour", "--count", HUGE],

@@ -1281,31 +1281,6 @@ def test_grid_that_overflows_the_potential_is_named(capsys, argv, grid):
     assert grid in err and "points = " in err
 
 
-# Runs one command, or imports and calls low_lying, in a fresh interpreter
-# and prints the exit code (or low_lying's module) and which of numpy, the
-# scipy and scipy.linalg packages and scipy's LAPACK extension were loaded
-# after `import toboggan`, after `import toboggan.cli` (or after importing
-# low_lying) and at the end.
-IMPORT_PROBE = textwrap.dedent("""
-    import json, os, sys
-    def loaded():
-        return [name in sys.modules for name in
-                ("numpy", "scipy", "scipy.linalg", "scipy.linalg._flapack")]
-    import toboggan
-    seen = [loaded()]
-    if sys.argv[1:] == ["low_lying"]:
-        from toboggan import low_lying
-        seen.append(loaded())
-        result = low_lying.__module__
-        low_lying("ho", 10.0, 1)
-    else:
-        import toboggan.cli
-        seen.append(loaded())
-        result = toboggan.cli.main(sys.argv[1:] + ["--output", os.devnull])
-    print(json.dumps([result, *seen, loaded()]))
-    """)
-
-
 # A span whose width overflows: numpy's linspace warned twice here, outside
 # the sampling's errstate, and under -W error ended in a traceback.
 OVERFLOWING_SPAN = ("contour", "--N", "2", "--s-min=-1e308", "--s-max", "1.7e308",
@@ -1314,10 +1289,8 @@ OVERFLOWING_SPAN = ("contour", "--N", "2", "--s-min=-1e308", "--s-max", "1.7e308
 
 @pytest.mark.parametrize("warnings", [(), ("-W", "error")], ids=["default", "W-error"])
 def test_an_overflowing_contour_span_ends_in_one_error_line(warnings):
-    src = str(Path(toboggan.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, *warnings, "-m", "toboggan.cli", *OVERFLOWING_SPAN],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                          text=True)
+                          env=_child_env(None), capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", "toboggan: error: column s is not finite in row 1 of 3: nan\n")
 
@@ -1358,80 +1331,64 @@ def test_a_spaced_negative_eps_reaches_its_domain_check(capsys):
                "got shift_eps = -0.001\n")
 
 
-def test_closed_form_commands_never_load_scipy():
-    # Fresh interpreters, so that no earlier test has imported numpy or scipy.
-    # Only the solver (verify, low_lying) loads numpy at import and scipy's
-    # LAPACK extension, never the scipy or scipy.linalg package, when it
-    # factorizes; contours and the closed forms never load numpy.
-    src = str(Path(toboggan.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    nothing = [False, False, False, False]
-    numpy_only = [True, False, False, False]
-    lapack = [True, False, False, True]
-    cases = [(["spectrum", "--ell", "4"], nothing),
-             (["figure", "fig2", "--rho-points", "2"], nothing),
-             (["figure", "fig3", "--ell-points", "2"], nothing),
-             (["contour", "--count", "3"], nothing),
-             (["figure", "fig1", "--count", "3"], nothing),
-             (["verify", "ho"], lapack),
-             (["verify", "cubic0"], lapack),
-             (["verify", "toboggan1"], lapack)]
-    for argv, after in cases:
-        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
-                              check=True, capture_output=True, text=True)
-        assert json.loads(done.stdout) == [0, nothing, nothing, after], argv
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "low_lying"], env=env,
-                          check=True, capture_output=True, text=True)
-    assert json.loads(done.stdout) == ["toboggan.eigensolver", nothing, numpy_only, lapack]
-
-
-# Runs one command in a fresh interpreter and prints its exit code and the
-# modules that importing toboggan.cli and running the command added to
-# sys.modules.
-MODULES_PROBE = textwrap.dedent("""
+# Runs one command, or imports and calls low_lying, in a fresh interpreter
+# and prints the exit code (or low_lying's module) and what is loaded after
+# `import toboggan`, after `import toboggan.cli` (or low_lying) and at the
+# end: toboggan's modules and the watched ones.  repr, not json, so that the
+# probe itself loads no json.
+COLD_PROBE = textwrap.dedent("""
     import os, sys
-    before = set(sys.modules)
-    import toboggan.cli
-    code = toboggan.cli.main(sys.argv[1:] + ["--output", os.devnull])
-    print(repr([code, sorted(set(sys.modules) - before)]))
+    WATCHED = ("numpy", "scipy", "scipy.linalg", "scipy.linalg._flapack", "json",
+               "dataclasses", "inspect")
+    def loaded():
+        return sorted(name for name in sys.modules
+                      if name in WATCHED or name.split(".")[0] == "toboggan")
+    import toboggan
+    seen = [loaded()]
+    if sys.argv[1:] == ["low_lying"]:
+        from toboggan import low_lying
+        seen.append(loaded())
+        result = low_lying.__module__
+        low_lying("ho", 10.0, 1)
+    else:
+        import toboggan.cli
+        seen.append(loaded())
+        result = toboggan.cli.main(sys.argv[1:] + ["--output", os.devnull])
+    print(repr([result, *seen, loaded()]))
     """)
 
-CONTOUR_MODULES = {"toboggan", "toboggan.cli", "toboggan.contours", "toboggan.util"}
-CLOSED_FORM_MODULES = CONTOUR_MODULES | {"toboggan.spectra", "toboggan.expansion",
-                                         "toboggan.potentials", "toboggan.rectify"}
+BARE = {"toboggan"}
+CLI = BARE | {"toboggan.cli", "toboggan.util"}
+CONTOURS = CLI | {"toboggan.contours"}
+CLOSED_FORMS = CLI | {"toboggan.spectra", "toboggan.expansion", "toboggan.rectify",
+                      "toboggan.potentials"}
+SOLVER = (CLOSED_FORMS - {"toboggan.cli"}) | {"toboggan.eigensolver", "numpy"}
+SOLVED = SOLVER | {"scipy.linalg._flapack"}
+VERIFIED = CLOSED_FORMS | SOLVED | {"json"}
+
+# Per cold run: its argv, what the probe returns, and what is loaded at the
+# probe's three points.  Only the solver loads numpy, and scipy's LAPACK
+# extension once it factorizes; no run loads the scipy or scipy.linalg
+# package or dataclasses, and a CSV table loads no json.  numpy may import
+# inspect itself (numpy 2.4 does), so inspect is checked where numpy is not.
+LOADS = {
+    "contour": (["contour", "--count", "3"], 0, BARE, CLI, CONTOURS),
+    "fig1": (["figure", "fig1", "--count", "3"], 0, BARE, CLI, CONTOURS),
+    "spectrum": (["spectrum", "--ell", "4"], 0, BARE, CLI, CLOSED_FORMS),
+    "fig2": (["figure", "fig2", "--rho-points", "2"], 0, BARE, CLI, CLOSED_FORMS),
+    "fig3": (["figure", "fig3", "--ell-points", "2"], 0, BARE, CLI, CLOSED_FORMS),
+    "verify-ho": (["verify", "ho"], 0, BARE, CLI, VERIFIED),
+    "verify-cubic0": (["verify", "cubic0"], 0, BARE, CLI, VERIFIED),
+    "verify-toboggan1": (["verify", "toboggan1"], 0, BARE, CLI, VERIFIED),
+    "low_lying": (["low_lying"], "toboggan.eigensolver", BARE, SOLVER, SOLVED),
+}
 
 
-@pytest.mark.parametrize("argv, own", [
-    (("contour", "--count", "3"), CONTOUR_MODULES),
-    (("figure", "fig1", "--count", "3"), CONTOUR_MODULES),
-    (("spectrum", "--ell", "4"), CLOSED_FORM_MODULES),
-    (("figure", "fig2", "--rho-points", "2"), CLOSED_FORM_MODULES),
-    (("figure", "fig3", "--ell-points", "2"), CLOSED_FORM_MODULES),
-], ids=["contour", "fig1", "spectrum", "fig2", "fig3"])
-def test_a_closed_form_command_loads_only_the_modules_it_runs(argv, own):
-    # No numpy, none of the dataclasses and inspect machinery (with ast, dis
-    # and tokenize) that a @dataclass record would load, and no json for CSV.
-    src = str(Path(toboggan.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv],
-                          env={**os.environ, "PYTHONPATH": src},
+@pytest.mark.parametrize("row", LOADS.values(), ids=list(LOADS))
+def test_a_cold_run_loads_only_the_modules_it_runs(row):
+    argv, result, *loads = row
+    done = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], env=_child_env(None),
                           check=True, capture_output=True, text=True)
-    code, loaded = ast.literal_eval(done.stdout)
-    assert code == 0
-    assert not ({"dataclasses", "inspect", "json", "numpy"}
-                & {name.split(".")[0] for name in loaded})
-    assert {name for name in loaded if name.split(".")[0] == "toboggan"} == own
-
-
-@pytest.mark.parametrize("target", ["ho", "cubic0", "toboggan1"])
-def test_verify_loads_no_dataclasses(target):
-    # Every record, the solver's too, is a namedtuple.  numpy itself loads
-    # inspect, so that module is not checked here.
-    src = str(Path(toboggan.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, "verify", target],
-                          env={**os.environ, "PYTHONPATH": src},
-                          check=True, capture_output=True, text=True)
-    code, loaded = ast.literal_eval(done.stdout)
-    assert code == 0
-    assert "dataclasses" not in {name.split(".")[0] for name in loaded}
-    assert ({name for name in loaded if name.split(".")[0] == "toboggan"}
-            == CLOSED_FORM_MODULES | {"toboggan.eigensolver"})
+    got, *seen = ast.literal_eval(done.stdout)
+    seen = [set(names) - ({"inspect"} if "numpy" in names else set()) for names in seen]
+    assert [got, *seen] == [result, *loads]

@@ -7,7 +7,8 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
-from functools import partial
+from contextlib import nullcontext
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,26 @@ def test_a_singular_shift_is_nudged_until_the_solve_converges(monkeypatch):
     assert shifts == [2.0, 2.000002]
     assert (result.converged, result.iterations) == (True, 5)
     assert result.eigenvalue == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("collisions", [4, 5])
+@pytest.mark.parametrize("shift", [0.5, 3e6])
+def test_a_colliding_shift_is_nudged_four_times(monkeypatch, shift, collisions):
+    # Each nudge adds 1e-6 * max(|shift|, 1); a fifth collision goes to the caller.
+    shifts = []
+
+    def collide(system, shift, tol):
+        shifts.append(shift)
+        if len(shifts) <= collisions:
+            raise ShiftCollisionError(f"pencil is singular at shift {shift!r}")
+        return shift
+
+    monkeypatch.setattr(eigensolver, "inverse_iteration", collide)
+    with pytest.raises(ShiftCollisionError) if collisions == 5 else nullcontext():
+        assert eigensolver._iterate_with_retries(None, shift, 1e-9) == shifts[4]
+    for before, after in zip(shifts, shifts[1:]):
+        assert after == before + 1e-6 * max(abs(before), 1.0)
+    assert len(shifts) == 5 and shifts[0] == shift
 
 
 def test_package_loads_the_solvers_names_on_first_use():
@@ -558,6 +579,27 @@ def test_oracle_error_is_the_predicted_error(ell, winding, points):
     for n, r in enumerate(results):
         predicted = energy_cubic_correction(ell, n) + r.grid_error
         assert 0.95 <= (r.eigenvalue.real - energy_cubic(ell, n)) / predicted <= 1.05
+
+
+@cache
+def _dense_cubic_levels(ell: float) -> np.ndarray:
+    """The dense eigenvalues of low_lying's default N = 0 pencil, by real part."""
+    system = build_tridiagonal(partial(rectified_potential, build_rectified(0, ell)),
+                               resolved_discretization("cubic_toboggan", ell))
+    values = np.linalg.eigvals(_dense(system)[0])  # B = I
+    return values[np.argsort(values.real)]
+
+
+@pytest.mark.parametrize("ell, count", [(10.0, 5), (30.0, 9), *(
+    pytest.param(ell, count, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 26: a seed nearer the pencil's level n + 1 converges there, "
+        "and verify cubic0 passes with the wrong level")))
+    for ell, count in [(2.0, 3), (4.0, 4), (10.0, 6), (30.0, 10)])])
+def test_cubic_level_n_is_the_pencils_level_n(ell, count):
+    dense = _dense_cubic_levels(ell)
+    found = [int(np.argmin(np.abs(dense - level.eigenvalue)))
+             for level in low_lying("cubic_toboggan", ell, count)]
+    assert found == list(range(count))
 
 
 # Where the oscillator oracle's error is not the grid's, so that no grid
